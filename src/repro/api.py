@@ -54,6 +54,7 @@ from repro.backends.base import (
 from repro.backends.registry import available_backends, get_backend
 from repro.games.bimatrix import BimatrixGame
 from repro.games.spec import GameLike, GameSpec, MaterializedGame, as_game_spec
+from repro.telemetry import family_total
 
 #: A solve_many job: ``(game, backend_name, spec)``; the spec may be None.
 SolveJob = Tuple[GameLike, str, Optional[SolveSpec]]
@@ -395,9 +396,11 @@ class SweepResult:
 
     ``reports`` is in submission order (ensemble order, with the
     backends of one game adjacent).  ``cache_hits`` counts jobs served
-    without recomputation (result-cache hits plus coalesced duplicates),
-    measured as the scheduler-counter delta across the sweep; it is
-    ``None`` when the attached client exposes no ``stats()``.
+    without recomputation (result-cache hits plus coalesced duplicates):
+    the sweep's delta of ``repro_scheduler_cache_hits_total`` plus
+    ``repro_scheduler_jobs_coalesced_total`` in the client's
+    ``telemetry()`` snapshot.  It is ``None`` when the attached client
+    exposes no ``telemetry()``.
 
     Jobs that fail terminally (quarantined poison pills, worker faults
     past the retry budget, permanent errors) land in ``failed`` instead
@@ -411,7 +414,6 @@ class SweepResult:
     num_games: int = 0
     elapsed_seconds: float = 0.0
     cache_hits: Optional[int] = None
-    scheduler_stats: Optional[Dict[str, Any]] = None
     attempts: List[int] = field(default_factory=list)
     """Per-report execution attempt counts (aligned with ``reports``)."""
     failed: List[Dict[str, Any]] = field(default_factory=list)
@@ -420,8 +422,8 @@ class SweepResult:
     """Aggregate seconds per top-level trace phase (queue / coalesce /
     shm / run / settle), summed over every traced job in the sweep.
     The scheduler's depth-0 phases are contiguous, so these sum to the
-    total per-job latency of the traced jobs.  Empty when telemetry is
-    disabled (or the outcomes carry no traces, e.g. cache hits).
+    total per-job latency of the traced jobs.  Empty when no outcome
+    carries a trace (cache hits carry none).
     """
     traced_jobs: int = 0
     """How many of the sweep's jobs carried a trace timeline."""
@@ -545,10 +547,13 @@ def sweep(
         )
 
     def _counter_totals() -> Optional[int]:
-        if not hasattr(client, "stats"):
+        if not hasattr(client, "telemetry"):
             return None
-        counters = client.stats()["counters"]
-        return int(counters["cache_hits"]) + int(counters["coalesced"])
+        snapshot = client.telemetry()
+        return int(
+            family_total(snapshot, "repro_scheduler_cache_hits_total")
+            + family_total(snapshot, "repro_scheduler_jobs_coalesced_total")
+        )
 
     result = SweepResult(backends=backend_names)
     hits_before = _counter_totals()
@@ -639,8 +644,6 @@ def sweep(
         hits_after = _counter_totals()
         if hits_before is not None and hits_after is not None:
             result.cache_hits = hits_after - hits_before
-        if hasattr(client, "stats"):
-            result.scheduler_stats = client.stats()
     finally:
         if owns_client:
             client.close()

@@ -47,7 +47,6 @@ from repro.backends.registry import (
     unregister_backend,
 )
 from repro.backends.adapters import (
-    DEFAULT_PORTFOLIO_ORDER,
     EXACT_ENUMERATION_LIMIT,
     CNashBackend,
     ExactBackend,
@@ -83,7 +82,6 @@ __all__ = [
     "SQuboBackend",
     "ExactBackend",
     "PortfolioBackend",
-    "DEFAULT_PORTFOLIO_ORDER",
     "EXACT_ENUMERATION_LIMIT",
     "config_from_spec",
     "label_is_exact",

@@ -1,19 +1,18 @@
 """Built-in backends: C-Nash, S-QUBO baseline, exact solvers, portfolio.
 
 Each adapter wraps one of the repo's solver stacks behind the uniform
-:class:`~repro.backends.base.Backend` protocol.  The adapters preserve
-the exact computation the service layer performed before the unified
-API existed — same solver construction, same seeds, same
-de-duplication tolerances — so that a seeded request produces
-byte-identical results through the old entry points and the new facade
-(guarded by ``tests/service/test_shims.py``).
+:class:`~repro.backends.base.Backend` protocol.  The adapters run
+exactly the computation a direct call of each solver would — same
+solver construction, same seeds, same de-duplication tolerances — so a
+seeded request produces byte-identical results either way (guarded by
+``TestReferenceOutcomes`` in ``tests/service/test_portfolio.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.backends.base import BackendCapabilities, SolveReport, SolveSpec
 from repro.backends.registry import get_backend, is_registered, register_backend
@@ -29,12 +28,6 @@ from repro.games.support_enumeration import support_enumeration
 #: Action-count bound below which the exact backend uses full support
 #: enumeration; larger games fall back to Lemke–Howson from all labels.
 EXACT_ENUMERATION_LIMIT = 9
-
-#: Default portfolio fallback order (exact first: cheap and complete on
-#: the benchmark sizes).  Data, not code — pass a different ``order`` to
-#: :class:`PortfolioBackend` (or re-register it) to change the policy
-#: everywhere, scheduler included.
-DEFAULT_PORTFOLIO_ORDER: Tuple[str, ...] = ("exact", "cnash", "squbo")
 
 
 def config_from_spec(spec: SolveSpec) -> CNashConfig:
@@ -257,12 +250,13 @@ class PortfolioBackend:
     with no code changes.  Members whose reports contain a verified
     equilibrium stop the chain; if none verifies, the last member's
     report is returned as-is (its ``success_rate`` tells the caller how
-    badly things went).
+    badly things went).  The default order tries ``exact`` first: it is
+    cheap and complete on the benchmark sizes.
     """
 
     name = "portfolio"
 
-    def __init__(self, order: Sequence[str] = DEFAULT_PORTFOLIO_ORDER) -> None:
+    def __init__(self, order: Sequence[str] = ("exact", "cnash", "squbo")) -> None:
         order = tuple(order)
         if not order:
             raise ValueError("portfolio order must name at least one backend")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.telemetry import family_cache
 
@@ -47,10 +47,9 @@ def _metrics(reg):
 class MaterializationCache:
     """Bounded LRU of materialised games keyed by spec fingerprint.
 
-    The instance ``hits``/``misses``/``evictions`` attributes (and
-    :meth:`stats`) are deprecated aliases kept for one release; the
-    canonical counters are the ``repro_matcache_*_total`` telemetry
-    metrics, aggregated across every cache instance in the process.
+    Hits, misses and evictions are counted by the
+    ``repro_matcache_*_total`` telemetry families, aggregated across
+    every cache instance in the process.
     """
 
     def __init__(self, capacity: int = DEFAULT_MATCACHE_CAPACITY) -> None:
@@ -59,9 +58,6 @@ class MaterializationCache:
         self.capacity = capacity
         self._entries: "OrderedDict[str, MaterializedGame]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -81,10 +77,8 @@ class MaterializationCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
                 hits.inc()
                 return entry
-            self.misses += 1
         misses.inc()
         # Materialise outside the lock: building a dense game can be the
         # expensive part, and concurrent builders of the same spec all
@@ -95,7 +89,6 @@ class MaterializationCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 evictions.inc()
         return entry
 
@@ -112,25 +105,9 @@ class MaterializationCache:
             return key in self._entries
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry (the registry counts are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters plus current size.
-
-        .. deprecated:: PR 7
-            Use the ``repro_matcache_*_total`` telemetry metrics; this
-            per-instance dict is kept as an alias for one release.
-        """
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-            }
 
 
 #: The per-process cache instance used by the service layer.

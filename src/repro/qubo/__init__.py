@@ -10,7 +10,6 @@ and a classical binary simulated annealer.
 from repro.qubo.annealer import (
     BinaryAnnealerConfig,
     BinaryAnnealResult,
-    BinaryQuboBatchProblem,
     FusedBinaryQuboProblem,
     anneal_qubo,
     anneal_qubo_batch,
@@ -53,7 +52,6 @@ __all__ = [
     "enumerate_assignments",
     "anneal_qubo",
     "anneal_qubo_batch",
-    "BinaryQuboBatchProblem",
     "FusedBinaryQuboProblem",
     "BinaryAnnealerConfig",
     "BinaryAnnealResult",

@@ -7,11 +7,12 @@ schedule.  The C-Nash solver itself does *not* use this module — it runs
 the two-phase SA over quantized mixed strategies instead
 (:mod:`repro.core.two_phase_sa`).
 
-Multi-read sampling (:func:`anneal_qubo_batch`) runs on the same
+Multi-read sampling (:func:`anneal_qubo_batch`) runs on the same fused
 chain-parallel engine as the C-Nash solver
-(:class:`~repro.annealing.vectorized.VectorizedAnnealer`): all reads
-advance in lockstep with O(batch x n) delta updates per proposal, so
-baseline comparisons scale the same way as the main solver.
+(:class:`~repro.annealing.vectorized.FusedAnnealer`): all reads advance
+in lockstep with O(batch x n) delta updates per proposal, so baseline
+comparisons scale the same way as the main solver.  :func:`anneal_qubo`
+is its sequential reference.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.annealing.acceptance import MetropolisAcceptance
 from repro.annealing.engine import AnnealingConfig
 from repro.annealing.temperature import GeometricSchedule, TemperatureSchedule
 from repro.annealing.vectorized import (
-    BatchAnnealingProblem,
     FusedAnnealer,
     FusedBatchProblem,
     run_scaled_progress_callback,
@@ -167,103 +167,27 @@ def _batched_flip_deltas(
 
 
 class _BinaryBatchState:
-    """Stacked assignments of all reads, with their energies piggybacked.
+    """Stacked assignments of all reads, one row per read."""
 
-    Caching the energies on the state lets ``propose_batch`` produce the
-    candidate energies via O(batch x n) flip deltas instead of full
-    O(batch x n^2) quadratic-form re-evaluations.
-    """
+    __slots__ = ("assignments",)
 
-    __slots__ = ("assignments", "energies")
-
-    def __init__(self, assignments: np.ndarray, energies: Optional[np.ndarray] = None):
+    def __init__(self, assignments: np.ndarray):
         self.assignments = assignments
-        self.energies = energies
-
-
-class BinaryQuboBatchProblem(BatchAnnealingProblem[_BinaryBatchState]):
-    """Chain-parallel single-bit-flip minimisation of one QUBO model.
-
-    The immutable-protocol variant for the generic
-    :class:`~repro.annealing.vectorized.VectorizedAnnealer`;
-    ``anneal_qubo_batch`` itself runs on the in-place
-    :class:`FusedBinaryQuboProblem` counterpart below.
-
-    Proposals follow the sequential annealer's *permutation-sweep*
-    kernel: each read flips every bit exactly once per sweep in an
-    independent random order (iid-uniform flips would leave ~1/e of the
-    bits unproposed per sweep and measurably shift the baseline success
-    statistics).  ``num_variables`` proposals correspond to one sweep.
-
-    The per-sweep flip queue makes a problem instance stateful: use one
-    instance per :meth:`VectorizedAnnealer.run` call.
-    """
-
-    def __init__(self, model: QuboModel):
-        self.model = model
-        self._flip_queue: Optional[np.ndarray] = None
-        self._queue_cursor = 0
-
-    def initial_states(self, batch_size: int, rng: np.random.Generator) -> _BinaryBatchState:
-        assignments = rng.integers(0, 2, size=(batch_size, self.model.num_variables))
-        return _BinaryBatchState(assignments.astype(float))
-
-    def _next_flips(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """The next sweep position: one permutation column per read."""
-        num_variables = self.model.num_variables
-        if (
-            self._flip_queue is None
-            or self._queue_cursor >= num_variables
-            or self._flip_queue.shape[0] != batch_size
-        ):
-            self._flip_queue = rng.permuted(
-                np.tile(np.arange(num_variables), (batch_size, 1)), axis=1
-            )
-            self._queue_cursor = 0
-        flips = self._flip_queue[:, self._queue_cursor]
-        self._queue_cursor += 1
-        return flips
-
-    def propose_batch(
-        self, states: _BinaryBatchState, rng: np.random.Generator
-    ) -> _BinaryBatchState:
-        assignments = states.assignments
-        batch_size, num_variables = assignments.shape
-        flips = self._next_flips(batch_size, rng)
-        rows = np.arange(batch_size)
-        current_bits = assignments[rows, flips]
-        deltas = _batched_flip_deltas(self.model.q_matrix, assignments, flips, current_bits)
-        candidate = assignments.copy()
-        candidate[rows, flips] = 1.0 - current_bits
-        return _BinaryBatchState(candidate, self.energies(states) + deltas)
-
-    def energies(self, states: _BinaryBatchState) -> np.ndarray:
-        if states.energies is None:
-            states.energies = self.model.energies(states.assignments)
-        return states.energies
-
-    def select(
-        self, mask: np.ndarray, accepted: _BinaryBatchState, rejected: _BinaryBatchState
-    ) -> _BinaryBatchState:
-        return _BinaryBatchState(
-            np.where(mask[:, None], accepted.assignments, rejected.assignments),
-            np.where(mask, self.energies(accepted), self.energies(rejected)),
-        )
-
-    def unstack(self, states: _BinaryBatchState, index: int) -> np.ndarray:
-        return states.assignments[index].copy()
 
 
 class FusedBinaryQuboProblem(FusedBatchProblem[_BinaryBatchState]):
     """Permutation-sweep single-bit-flip minimisation on the fused kernel.
 
-    The same Markov kernel as :class:`BinaryQuboBatchProblem` — every bit
-    flipped exactly once per sweep in an independent random permutation
-    per read, O(batch × n) flip deltas — but with problem-owned mutable
-    assignment buffers, structured (read, bit) staged flips, and
+    Proposals follow the sequential annealer's *permutation-sweep*
+    kernel: each read flips every bit exactly once per sweep in an
+    independent random order (iid-uniform flips would leave ~1/e of the
+    bits unproposed per sweep and measurably shift the baseline success
+    statistics), so ``num_variables`` proposals are one sweep.  Flip
+    energies are O(batch × n) deltas against problem-owned mutable
+    assignment buffers, with structured (read, bit) staged flips and
     permutation queues drained in blocks, so accept/reject needs no
-    per-iteration state allocation.  Like its predecessor, an instance is
-    stateful across one :meth:`FusedAnnealer.run` call.
+    per-iteration state allocation.  The queues make an instance
+    stateful: use one per :meth:`FusedAnnealer.run` call.
     """
 
     def __init__(self, model: QuboModel):

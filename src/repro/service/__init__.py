@@ -32,15 +32,13 @@ or over TCP: ``python -m repro.service --port 8765`` and then
 :class:`~repro.service.client.ServiceClient` / ``SyncServiceClient``.
 """
 
-from repro.service.cache import CacheStats, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.client import InProcessClient, ServiceClient, ServiceError, SyncServiceClient
 from repro.service.jobs import (
     JobRecord,
     JobStatus,
     SolveOutcome,
     SolveRequest,
-    config_from_dict,
-    config_to_dict,
     game_from_dict,
     game_to_dict,
 )
@@ -54,7 +52,6 @@ from repro.service.scheduler import DEFAULT_SHARD_SIZE, SolveScheduler
 from repro.service.server import NashServer, serve
 
 __all__ = [
-    "CacheStats",
     "ResultCache",
     "InProcessClient",
     "ServiceClient",
@@ -64,8 +61,6 @@ __all__ = [
     "JobStatus",
     "SolveOutcome",
     "SolveRequest",
-    "config_to_dict",
-    "config_from_dict",
     "game_to_dict",
     "game_from_dict",
     "execute_request",

@@ -30,7 +30,6 @@ Batching is therefore purely a throughput knob.
 from __future__ import annotations
 
 import hashlib
-import os
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,7 +42,9 @@ from repro.service.portfolio import (
     cnash_is_builtin,
     effective_config,
     execute_request,
+    in_worker_process,
     outcome_from_batch,
+    ship_worker_telemetry,
     solve_cnash,
 )
 from repro.service.resilience.faults import (
@@ -53,8 +54,6 @@ from repro.service.resilience.faults import (
     installed_fault_plan,
 )
 from repro.telemetry import Timeline, get_logger
-from repro.telemetry import enabled as telemetry_enabled
-from repro.telemetry import registry as telemetry_registry
 from repro.utils.serialization import canonical_json
 
 logger = get_logger("repro.service.batching")
@@ -160,13 +159,11 @@ def execute_job_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     that fails as a whole (it is one kernel launch) fails only its own
     members.
 
-    Telemetry: when enabled, each job entry additionally carries a
-    ``"trace"`` phase list (materialise / kernel / settle spans relative
-    to the worker's batch-handling start — the parent splices them into
-    the job's timeline), and the response carries a ``"telemetry"``
-    metrics delta for worker *processes*.  On thread executors the
-    worker shares the parent's process-global registry, so the delta is
-    skipped (``payload["parent_pid"]`` matches) to avoid double counts.
+    Telemetry: each job entry additionally carries a ``"trace"`` phase
+    list (materialise / kernel / settle spans relative to the worker's
+    batch-handling start — the parent splices them into the job's
+    timeline), and a worker *process* attaches its metrics delta under
+    ``"telemetry"`` (:func:`~repro.service.portfolio.ship_worker_telemetry`).
 
     Chaos: when the payload ships a ``"fault_plan"`` (see
     :mod:`repro.service.resilience.faults`) it is installed for the
@@ -187,10 +184,9 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
     jobs = payload["jobs"]
     results: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
     batch_id = payload.get("batch_id")
-    in_subprocess = payload.get("parent_pid") not in (None, os.getpid())
+    in_subprocess = in_worker_process(payload)
     fault_point("worker_entry", key=str(batch_id), in_subprocess=in_subprocess)
-    tracing = telemetry_enabled()
-    timelines = [Timeline() for _ in jobs] if tracing else None
+    timelines = [Timeline() for _ in jobs]
     matcache = global_materialization_cache()
 
     def _fail(index: int, exc: BaseException, request: Optional[SolveRequest],
@@ -202,7 +198,7 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
                 "batch_id": batch_id,
                 "job_index": index,
                 "job": request.fingerprint() if request is not None else None,
-                "span_id": timelines[index].span_id if timelines else None,
+                "span_id": timelines[index].span_id,
                 "err": f"{type(exc).__name__}: {exc}",
             },
         )
@@ -223,12 +219,9 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             if job["kind"] == "cnash_shard":
                 spec = request.game_spec
                 cached = spec is not None and matcache.contains(spec)
-                if timelines:
-                    with timelines[index].span(
-                        "materialize", matcache_hit=cached, spec=spec is not None
-                    ):
-                        game = request.resolved_game
-                else:
+                with timelines[index].span(
+                    "materialize", matcache_hit=cached, spec=spec is not None
+                ):
                     game = request.resolved_game
                 entry: ParsedJob = (
                     index,
@@ -262,17 +255,13 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             for _, _, request, *_ in entries:
                 fault_point("kernel", key=request.fingerprint(),
                             in_subprocess=in_subprocess)
-            if timelines:
-                start_ns = perf_counter_ns()
-                batches = solve_shards_fused(shards, config)
-                end_ns = perf_counter_ns()
-                for index, *_ in entries:
-                    timelines[index].record(
-                        "kernel", start_ns, end_ns, depth=0,
-                        fused_games=len(entries),
-                    )
-            else:
-                batches = solve_shards_fused(shards, config)
+            start_ns = perf_counter_ns()
+            batches = solve_shards_fused(shards, config)
+            end_ns = perf_counter_ns()
+            for index, *_ in entries:
+                timelines[index].record(
+                    "kernel", start_ns, end_ns, depth=0, fused_games=len(entries),
+                )
         except WorkerCrash:
             raise  # a crashing worker takes the whole batch, not one job
         except Exception as exc:  # noqa: BLE001 - the launch is one kernel call
@@ -281,10 +270,7 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             continue
         for (index, _, request, _, _, _), batch in zip(entries, batches):
             try:
-                if timelines:
-                    with timelines[index].span("settle"):
-                        result = _shard_outcome(request, batch)
-                else:
+                with timelines[index].span("settle"):
                     result = _shard_outcome(request, batch)
                 _maybe_corrupt(result, request, in_subprocess)
                 results[index] = {
@@ -303,46 +289,23 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             fault_point("kernel", key=request.fingerprint(),
                         in_subprocess=in_subprocess)
             if kind == "cnash_shard":
-                if timelines:
-                    with timelines[index].span("kernel"):
-                        batch = solve_cnash(request, num_runs=runs, seed=seed)
-                    with timelines[index].span("settle"):
-                        result = _shard_outcome(request, batch)
-                else:
+                with timelines[index].span("kernel"):
                     batch = solve_cnash(request, num_runs=runs, seed=seed)
+                with timelines[index].span("settle"):
                     result = _shard_outcome(request, batch)
-                _maybe_corrupt(result, request, in_subprocess)
-                results[index] = {
-                    "ok": True,
-                    "kind": "cnash_outcome",
-                    "result": result,
-                }
+                kind = "cnash_outcome"
             else:
-                if timelines:
-                    with timelines[index].span("kernel", generic=True):
-                        result = execute_request(request).to_dict()
-                else:
+                with timelines[index].span("kernel", generic=True):
                     result = execute_request(request).to_dict()
-                _maybe_corrupt(result, request, in_subprocess)
-                results[index] = {
-                    "ok": True,
-                    "kind": "generic",
-                    "result": result,
-                }
+            _maybe_corrupt(result, request, in_subprocess)
+            results[index] = {"ok": True, "kind": kind, "result": result}
         except WorkerCrash:
             raise  # a crashing worker takes the whole batch, not one job
         except Exception as exc:  # noqa: BLE001 - per-job isolation boundary
             _fail(index, exc, request, "solve")
 
     assert all(entry is not None for entry in results)
-    if timelines:
-        for entry, timeline in zip(results, timelines):
-            entry["trace"] = timeline.to_wire()
-            entry["span_id"] = timeline.span_id
-    response: Dict[str, Any] = {"jobs": results}
-    # Worker processes ship their metrics increments home with the
-    # results; on a thread executor the "worker" already mutated the
-    # parent's own registry, so exporting would double-count on merge.
-    if payload.get("parent_pid") != os.getpid():
-        response["telemetry"] = telemetry_registry().export_delta()
-    return response
+    for entry, timeline in zip(results, timelines):
+        entry["trace"] = timeline.to_wire()
+        entry["span_id"] = timeline.span_id
+    return ship_worker_telemetry(payload, {"jobs": results})

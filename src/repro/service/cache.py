@@ -26,7 +26,7 @@ import os
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -61,49 +61,6 @@ def _check_fingerprint(fingerprint: str) -> str:
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one cache instance.
-
-    .. deprecated:: PR 7
-        These per-instance counters (and the ``stats`` dict shapes built
-        from them) are kept as aliases for one release; the canonical
-        counters are the ``repro_cache_*_total`` telemetry metrics,
-        aggregated across every cache instance in the process.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    stores: int = 0
-    disk_hits: int = 0
-    disk_evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``get`` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON representation for stats endpoints."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stores": self.stores,
-            "disk_hits": self.disk_hits,
-            "disk_evictions": self.disk_evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-@dataclass
 class ResultCache:
     """LRU cache of solve outcomes keyed by request fingerprints.
 
@@ -123,12 +80,15 @@ class ResultCache:
         access).  A budget smaller than one entry still admits the
         freshly written entry — the bound is best-effort, enforced
         after the write.
+
+    Hits, misses, stores and evictions are counted by the
+    ``repro_cache_*_total`` telemetry families, aggregated across every
+    cache instance in the process.
     """
 
     capacity: int = 256
     directory: Optional[Path] = None
     max_disk_bytes: Optional[int] = None
-    stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -146,7 +106,7 @@ class ResultCache:
             return len(self._entries)
 
     def __contains__(self, fingerprint: str) -> bool:
-        """Membership in either tier; does not touch stats or recency."""
+        """Membership in either tier; counts no lookup and keeps recency."""
         _check_fingerprint(fingerprint)
         with self._lock:
             if fingerprint in self._entries:
@@ -167,21 +127,17 @@ class ResultCache:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                self.stats.hits += 1
                 hits.inc()
                 return entry
         entry = self._read_disk(fingerprint)
-        with self._lock:
-            if entry is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                hits.inc()
-                disk_hits.inc()
-                self._insert(fingerprint, entry)
-                return entry
-            self.stats.misses += 1
+        if entry is None:
             misses.inc()
             return None
+        hits.inc()
+        disk_hits.inc()
+        with self._lock:
+            self._insert(fingerprint, entry)
+        return entry
 
     def put(self, fingerprint: str, outcome: Dict[str, Any]) -> None:
         """Store an outcome dict under ``fingerprint`` in both tiers."""
@@ -189,7 +145,6 @@ class ResultCache:
         _metrics()[3].inc()
         with self._lock:
             self._insert(fingerprint, outcome)
-            self.stats.stores += 1
         if self.directory is not None:
             # No lock for the disk write: entries are content-addressed
             # (every writer of a key writes the same value) and the
@@ -220,7 +175,6 @@ class ResultCache:
         with self._lock:
             for fingerprint, outcome in entries:
                 self._insert(fingerprint, outcome)
-                self.stats.stores += 1
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             for fingerprint, outcome in entries:
@@ -247,7 +201,6 @@ class ResultCache:
         self._entries[fingerprint] = outcome
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
             _metrics()[2].inc()
 
     def _disk_path(self, fingerprint: str) -> Optional[Path]:
@@ -308,6 +261,4 @@ class ResultCache:
             except OSError:  # pragma: no cover - raced with eviction
                 continue
             total -= size
-            with self._lock:
-                self.stats.disk_evictions += 1
             _metrics()[5].inc()

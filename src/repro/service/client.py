@@ -187,10 +187,6 @@ class ServiceClient:
         """Cancel a queued job; ``False`` when it already started."""
         return (await self.call({"op": "cancel", "job_id": job_id}))["cancelled"]
 
-    async def stats(self) -> Dict[str, Any]:
-        """Scheduler and cache statistics (deprecated; see :meth:`telemetry`)."""
-        return (await self.call({"op": "stats"}))["stats"]
-
     async def telemetry(self) -> Dict[str, Any]:
         """Unified metrics snapshot (``{"families": {...}}``)."""
         return (await self.call({"op": "telemetry"}))["telemetry"]
@@ -241,10 +237,6 @@ class SyncServiceClient:
     def solve(self, request: SolveRequest, priority: Optional[int] = None) -> SolveOutcome:
         """Submit a request and block until its outcome arrives."""
         return self._run(lambda client: client.solve(request, priority=priority))
-
-    def stats(self) -> Dict[str, Any]:
-        """Scheduler and cache statistics (deprecated; see :meth:`telemetry`)."""
-        return self._run(lambda client: client.stats())
 
     def telemetry(self) -> Dict[str, Any]:
         """Unified metrics snapshot (``{"families": {...}}``)."""
@@ -378,10 +370,6 @@ class InProcessClient:
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job."""
         return self._on_loop(lambda: self._scheduler.cancel(job_id))
-
-    def stats(self) -> Dict[str, Any]:
-        """Scheduler and cache statistics (deprecated; see :meth:`telemetry`)."""
-        return self._on_loop(self._scheduler.stats)
 
     def telemetry(self) -> Dict[str, Any]:
         """Unified metrics snapshot (``{"families": {...}}``)."""

@@ -33,23 +33,8 @@ from repro.games.spec import GameSpec
 from repro.telemetry import Timeline
 
 # Shared with GameSpec fingerprints so the two content-address layers
-# cannot drift apart (re-exported here for back-compat).
+# cannot drift apart.
 from repro.utils.serialization import canonical_json
-
-#: The built-in backend policies (kept for back-compat; the live set is
-#: :func:`repro.backends.available_backends` — any registered backend
-#: name is a valid policy).
-POLICIES = ("cnash", "squbo", "exact", "portfolio")
-
-
-def config_to_dict(config: CNashConfig) -> Dict[str, Any]:
-    """Canonical JSON form of a :class:`CNashConfig` (now :meth:`CNashConfig.to_dict`)."""
-    return config.to_dict()
-
-
-def config_from_dict(data: Dict[str, Any]) -> CNashConfig:
-    """Reconstruct a :class:`CNashConfig` (now :meth:`CNashConfig.from_dict`)."""
-    return CNashConfig.from_dict(data)
 
 
 def game_to_dict(game: BimatrixGame) -> Dict[str, Any]:
@@ -68,8 +53,6 @@ def game_from_dict(data: Dict[str, Any]) -> BimatrixGame:
         np.asarray(data["payoff_col"], dtype=float),
         name=str(data.get("name", "unnamed game")),
     )
-
-
 
 
 @dataclass(frozen=True)
@@ -247,7 +230,7 @@ class SolveRequest:
             return cached
         payload = {
             "game": self.game_fingerprint(),
-            "config": config_to_dict(self.config),
+            "config": self.config.to_dict(),
             "num_runs": int(self.num_runs),
             "seed": None if self.seed is None else int(self.seed),
             "policy": self.policy,
@@ -277,7 +260,7 @@ class SolveRequest:
             "policy": self.policy,
             "num_runs": int(self.num_runs),
             "seed": None if self.seed is None else int(self.seed),
-            "config": config_to_dict(self.config),
+            "config": self.config.to_dict(),
             "epsilon": self.epsilon,
             "priority": int(self.priority),
             "deadline_s": self.deadline_s,
@@ -308,7 +291,7 @@ class SolveRequest:
             policy=str(data.get("policy", "cnash")),
             num_runs=int(data.get("num_runs", 100)),
             seed=None if data.get("seed") is None else int(data["seed"]),
-            config=config_from_dict(data["config"]) if "config" in data else CNashConfig(),
+            config=CNashConfig.from_dict(data["config"]) if "config" in data else CNashConfig(),
             epsilon=data.get("epsilon"),
             priority=int(data.get("priority", 0)),
             deadline_s=data.get("deadline_s"),
@@ -335,8 +318,9 @@ class SolveOutcome:
     wall_clock_seconds: float = 0.0
     #: Per-job trace timeline (phase list from
     #: :meth:`repro.telemetry.Timeline.to_wire`), attached by the
-    #: scheduler when telemetry is enabled.  ``None`` traces are omitted
-    #: from the wire form so pre-telemetry payloads are byte-identical.
+    #: scheduler to every computed outcome.  ``None`` traces (cache hits)
+    #: are omitted from the wire form so cached payloads are
+    #: byte-identical to pre-telemetry ones.
     trace: Optional[List[Dict[str, Any]]] = None
     #: Total executions this outcome took (1 = first try).  Execution
     #: metadata like ``trace``: the default is omitted from the wire
@@ -414,8 +398,8 @@ class JobRecord:
 
     ``cache_hit`` means "served without recomputation" — either a
     result-cache hit or a coalesced duplicate that adopted its in-flight
-    leader's outcome (the scheduler's ``cache_hits`` / ``coalesced``
-    counters distinguish the two).
+    leader's outcome (``repro_scheduler_cache_hits_total`` and
+    ``repro_scheduler_jobs_coalesced_total`` count the two apart).
 
     Wall-clock timestamps (``submitted_at``/``started_at``/
     ``finished_at``) are for *display only*; all elapsed/deadline math
@@ -434,7 +418,7 @@ class JobRecord:
     error: Optional[str] = None
     cache_hit: bool = False
     #: Per-job trace timeline (scheduler bookkeeping, not wire state).
-    timeline: Optional[Timeline] = None
+    timeline: Timeline = field(default_factory=Timeline)
     #: Executions so far (1 while the first attempt runs); bumped by the
     #: scheduler's retry machinery and published on the outcome.
     attempts: int = 1

@@ -8,12 +8,6 @@ registry (:mod:`repro.backends`): a request's ``policy`` is simply a
 registered backend name, so a backend registered in one line becomes
 servable over the scheduler and the TCP transport with no changes here.
 
-The pre-registry entry points (:func:`solve_cnash`, :func:`solve_squbo`,
-:func:`solve_exact`, :func:`solve_portfolio`) are kept as deprecation
-shims; for a fixed seed they produce byte-identical ``SolveOutcome``
-wire dicts to the old implementations (guarded by
-``tests/service/test_shims.py``).
-
 Everything in this module is synchronous and picklable-by-payload: the
 scheduler ships request dicts into worker processes and gets outcome
 dicts back (see :func:`execute_request_payload`).
@@ -23,11 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.backends import (
-    DEFAULT_PORTFOLIO_ORDER,
-    EXACT_ENUMERATION_LIMIT,  # noqa: F401 - re-exported for back-compat
     SolveReport,
     SolveSpec,
     get_backend,
@@ -38,14 +30,11 @@ from repro.backends import (
 )
 from repro.core.result import SolverBatchResult
 from repro.core.solver import CNashSolver
-from repro.games.equilibrium import EquilibriumSet, StrategyProfile
+from repro.games.equilibrium import EquilibriumSet
 from repro.service.jobs import SolveOutcome, SolveRequest
 from repro.service.resilience.faults import fault_point, installed_fault_plan
+from repro.telemetry import registry as telemetry_registry
 from repro.utils.rng import shard_seeds
-
-#: Deprecated alias — the portfolio member order is now data on the
-#: registered ``"portfolio"`` backend (see :func:`portfolio_order`).
-PORTFOLIO_ORDER = DEFAULT_PORTFOLIO_ORDER
 
 
 def portfolio_order() -> Optional[Tuple[str, ...]]:
@@ -64,11 +53,6 @@ def portfolio_order() -> Optional[Tuple[str, ...]]:
     if not order:
         return None
     return tuple(order)
-
-
-def wire_to_profiles(equilibria: List[Dict[str, List[float]]]) -> List[StrategyProfile]:
-    """Inverse of the wire encoding used in :class:`SolveOutcome`."""
-    return profiles_from_wire(equilibria)
 
 
 def cnash_is_builtin() -> bool:
@@ -161,9 +145,6 @@ def outcome_from_batch(
     )
 
 
-# ----------------------------------------------------------------------
-# Deprecation shims (pre-registry entry points)
-# ----------------------------------------------------------------------
 def solve_cnash(
     request: SolveRequest, num_runs: Optional[int] = None, seed=None
 ) -> SolverBatchResult:
@@ -182,27 +163,6 @@ def solve_cnash(
     )
 
 
-def solve_squbo(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the D-Wave-like S-QUBO baseline via the registry."""
-    return _execute_member(request, "squbo")
-
-
-def solve_exact(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the ground-truth solvers via the registry."""
-    return _execute_member(request, "exact")
-
-
-def solve_portfolio(request: SolveRequest) -> SolveOutcome:
-    """Deprecated shim: the registry-driven portfolio chain."""
-    return _execute_member(request, "portfolio")
-
-
-def _execute_member(request: SolveRequest, backend_name: str) -> SolveOutcome:
-    """Execute a request through one named backend, relabelled as the request."""
-    report = get_backend(backend_name).solve(request.resolved_game, spec_from_request(request))
-    return outcome_from_report(request, report)
-
-
 def has_verified_equilibrium(request: SolveRequest, outcome: SolveOutcome) -> bool:
     """Whether an outcome contains at least one verified equilibrium.
 
@@ -216,7 +176,7 @@ def has_verified_equilibrium(request: SolveRequest, outcome: SolveOutcome) -> bo
     """
     return profiles_verified(
         request.resolved_game,
-        wire_to_profiles(outcome.equilibria),
+        profiles_from_wire(outcome.equilibria),
         outcome.backend,
         effective_config(request),
     )
@@ -253,7 +213,32 @@ def execute_request(request: SolveRequest) -> SolveOutcome:
     :class:`repro.backends.UnknownBackendError`, which lists the
     available backends.
     """
-    return _execute_member(request, request.policy)
+    report = get_backend(request.policy).solve(request.resolved_game, spec_from_request(request))
+    return outcome_from_report(request, report)
+
+
+def in_worker_process(payload: Dict[str, Any]) -> bool:
+    """Whether a worker payload is being handled by a separate process.
+
+    The scheduler stamps every worker payload with its ``parent_pid``;
+    a payload without one (a direct call) counts as in-process.
+    """
+    return payload.get("parent_pid") not in (None, os.getpid())
+
+
+def ship_worker_telemetry(payload: Dict[str, Any], result: Dict[str, Any]) -> Dict[str, Any]:
+    """Attach a worker process's metric increments to its result.
+
+    A worker *process* counts into its own registry, so its increments
+    reach the parent only as an
+    :meth:`~repro.telemetry.MetricsRegistry.export_delta` riding the
+    result under ``"telemetry"``; the scheduler merges it and strips it
+    before decoding.  Thread and inline workers already count into the
+    parent's registry, so they ship nothing (a merge would count twice).
+    """
+    if in_worker_process(payload):
+        result["telemetry"] = telemetry_registry().export_delta()
+    return result
 
 
 def execute_request_payload(payload: dict) -> dict:
@@ -269,7 +254,7 @@ def execute_request_payload(payload: dict) -> dict:
     """
     with installed_fault_plan(payload.get("fault_plan")):
         request = SolveRequest.from_dict(payload)
-        in_subprocess = payload.get("parent_pid") not in (None, os.getpid())
+        in_subprocess = in_worker_process(payload)
         fault_point("worker_entry", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
         # Same injection point as the batched path: the kernel launch
@@ -277,18 +262,19 @@ def execute_request_payload(payload: dict) -> dict:
         # follows it onto solo (no-batch) retries.
         fault_point("kernel", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
-        return execute_request(request).to_dict()
+        return ship_worker_telemetry(payload, execute_request(request).to_dict())
 
 
 def solve_shard_payload(payload: dict) -> dict:
     """Worker-pool entry point for one C-Nash shard of a sharded batch.
 
     ``payload`` is ``{"request": <request dict>, "shard_runs": n,
-    "shard_seed": s}``; returns the shard's batch dict.
+    "shard_seed": s}``; returns the shard's batch dict (plus the
+    worker's metric delta, see :func:`ship_worker_telemetry`).
     """
     with installed_fault_plan(payload.get("fault_plan")):
         request = SolveRequest.from_dict(payload["request"])
-        in_subprocess = payload.get("parent_pid") not in (None, os.getpid())
+        in_subprocess = in_worker_process(payload)
         fault_point("worker_entry", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
         fault_point("kernel", key=request.fingerprint(),
@@ -296,7 +282,7 @@ def solve_shard_payload(payload: dict) -> dict:
         batch = solve_cnash(
             request, num_runs=payload["shard_runs"], seed=payload["shard_seed"]
         )
-        return batch.to_dict()
+        return ship_worker_telemetry(payload, batch.to_dict())
 
 
 def shard_payloads(request: SolveRequest, shard_size: int) -> List[dict]:

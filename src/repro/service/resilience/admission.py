@@ -19,7 +19,7 @@ keep their unbounded behaviour until they opt in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.telemetry import family_cache, get_logger
 
@@ -48,9 +48,6 @@ class AdmissionController:
     #: Base of the retry-after hint returned with rejections.
     retry_after_base_s: float = 0.25
 
-    shed_background: int = 0
-    shed_full: int = 0
-
     def __post_init__(self) -> None:
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
@@ -72,10 +69,8 @@ class AdmissionController:
         if capacity is None:
             return
         if queue_depth >= capacity:
-            self.shed_full += 1
             self._reject(queue_depth, capacity, "full", priority)
         if priority > 0 and queue_depth >= capacity * self.background_shed_fraction:
-            self.shed_background += 1
             self._reject(queue_depth, capacity, "background", priority)
 
     def _reject(self, depth: int, capacity: int, reason: str, priority: int) -> None:
@@ -92,11 +87,3 @@ class AdmissionController:
             capacity=capacity,
             retry_after_s=retry_after,
         )
-
-    def snapshot(self) -> Dict[str, object]:
-        """Introspection form for ``stats()`` reporting."""
-        return {
-            "max_queue_depth": self.max_queue_depth,
-            "shed_background": self.shed_background,
-            "shed_full": self.shed_full,
-        }

@@ -59,7 +59,6 @@ class CircuitBreaker:
     _consecutive_failures: int = field(default=0, init=False)
     _opened_at: float = field(default=0.0, init=False)
     _half_open_inflight: int = field(default=0, init=False)
-    opens: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -126,17 +125,8 @@ class CircuitBreaker:
     def _open(self) -> None:
         self._opened_at = self.clock()
         self._half_open_inflight = 0
-        self.opens += 1
         _metrics()[1].labels(backend=self.backend).inc()
         self._transition(OPEN)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Introspection form for ``stats()`` reporting."""
-        return {
-            "state": self.state,
-            "consecutive_failures": self._consecutive_failures,
-            "opens": self.opens,
-        }
 
 
 class BreakerBoard:
@@ -178,7 +168,3 @@ class BreakerBoard:
 
     def on_failure(self, backend: str) -> None:
         self.breaker(backend).on_failure()
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-backend state for ``stats()`` reporting."""
-        return {name: b.snapshot() for name, b in sorted(self._breakers.items())}

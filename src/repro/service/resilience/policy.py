@@ -43,7 +43,7 @@ import hashlib
 from concurrent.futures import BrokenExecutor as BrokenExecutorError
 from concurrent.futures.process import BrokenProcessPool as BrokenProcessPoolError
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.utils.rng import derive_seed
 
@@ -207,12 +207,3 @@ class RetryPolicy:
         if not self.escalation_enabled():
             return None
         return f"esc{self.solver_miss.max_attempts}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """Introspection form for ``stats()`` reporting."""
-        return {
-            "worker_death_attempts": self.worker_death.max_attempts,
-            "transient_attempts": self.transient.max_attempts,
-            "solver_miss_attempts": self.solver_miss.max_attempts,
-            "quarantine_after": self.quarantine_after,
-        }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import BrokenExecutor, Executor
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.telemetry import family_cache, get_logger
 
@@ -44,9 +44,6 @@ class WorkerPoolSupervisor:
         self._factory = factory
         self._executor: Optional[Executor] = factory()
         self._generation = 0
-        self.restarts = 0
-        self.deaths = 0
-        self.hangs = 0
 
     @property
     def executor(self) -> Optional[Executor]:
@@ -95,16 +92,11 @@ class WorkerPoolSupervisor:
             raise WorkerDeath(f"worker pool broken: {exc}") from exc
 
     def _rebuild(self, observed_generation: int, cause: str) -> None:
-        if cause == "death":
-            self.deaths += 1
-        else:
-            self.hangs += 1
         if observed_generation != self._generation:
             # A sibling failure from the same dead pool already rebuilt.
             return
         old = self._executor
         self._generation += 1
-        self.restarts += 1
         _metrics()[0].labels(cause=cause).inc()
         logger.warning("rebuilding worker pool", extra={
             "cause": cause, "generation": self._generation,
@@ -121,12 +113,3 @@ class WorkerPoolSupervisor:
         if self._executor is not None:
             self._executor.shutdown(wait=wait, cancel_futures=not wait)
             self._executor = None
-
-    def snapshot(self) -> Dict[str, object]:
-        """Introspection form for ``stats()`` reporting."""
-        return {
-            "generation": self._generation,
-            "restarts": self.restarts,
-            "deaths": self.deaths,
-            "hangs": self.hangs,
-        }

@@ -72,8 +72,7 @@ from repro.service.resilience import (
     install_fault_plan,
     retry_seed,
 )
-from repro.telemetry import Timeline, get_logger
-from repro.telemetry import enabled as telemetry_enabled
+from repro.telemetry import get_logger
 from repro.telemetry import registry as telemetry_registry
 
 #: Executor kinds accepted by :class:`SolveScheduler`.
@@ -93,11 +92,10 @@ def _scheduler_metrics() -> Dict[str, Any]:
 
     Resolved once per scheduler at construction, so a test wrapping
     scheduler creation in :func:`repro.telemetry.temporary_registry`
-    observes that scheduler alone.  The counter keys deliberately mirror
-    the deprecated ``self.counters`` dict so both stay in lockstep.
-    Label-less entries are resolved to their child time series here —
-    ``child.inc()`` skips the per-call label-key build, which matters at
-    several increments per job on the dispatch loop thread.
+    observes that scheduler alone.  Label-less entries are resolved to
+    their child time series here — ``child.inc()`` skips the per-call
+    label-key build, which matters at several increments per job on the
+    dispatch loop thread.
     """
     reg = telemetry_registry()
 
@@ -309,7 +307,6 @@ class SolveScheduler:
         self._events: Dict[str, asyncio.Event] = {}
         self._inflight: Dict[str, JobRecord] = {}
         self._batch_keys: Dict[str, Optional[str]] = {}
-        self._linger_seconds = 0.0
         self._followers: set = set()
         self.finished_job_limit = finished_job_limit
         self._finished_order: Deque[str] = deque()
@@ -320,24 +317,6 @@ class SolveScheduler:
         if concurrency is None:
             concurrency = max_workers if max_workers is not None else 4
         self._dispatch_concurrency = max(1, concurrency)
-        #: Deprecated alias — the canonical counters are the
-        #: ``repro_scheduler_*`` telemetry metrics (:meth:`telemetry`);
-        #: this dict mirrors them per instance for one more release.
-        self.counters: Dict[str, int] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "expired": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "shards_executed": 0,
-            "batches_dispatched": 0,
-            "batched_jobs": 0,
-            "shm_games_shared": 0,
-            "retried": 0,
-            "quarantined": 0,
-        }
         self._registry = telemetry_registry()
         self._metrics = _scheduler_metrics()
         # (policy, status) -> latency histogram child, so the per-job
@@ -435,8 +414,6 @@ class SolveScheduler:
         effective_priority = request.priority if priority is None else priority
         self._admission.admit(self._queue.qsize(), priority=effective_priority)
         record = JobRecord(request=request)
-        if telemetry_enabled():
-            record.timeline = Timeline()
         self._jobs[record.job_id] = record
         self._events[record.job_id] = asyncio.Event()
         self._count("submitted")
@@ -584,59 +561,29 @@ class SolveScheduler:
         return True
 
     def _count(self, key: str, amount: int = 1) -> None:
-        """Increment a counter in both surfaces (legacy dict + registry)."""
-        self.counters[key] += amount
+        """Increment one of the scheduler's registry counters."""
         self._metrics[key].inc(amount)
 
     def telemetry(self) -> Dict[str, Any]:
         """Snapshot of the telemetry registry this scheduler reports to.
 
-        The ``stats()``-superseding surface: every counter in
-        :meth:`stats` appears here as a ``repro_<subsystem>_<metric>``
-        family, plus latency/batch-size histograms and live gauges —
-        aggregated process-wide (worker-process deltas included).
+        Every scheduler, cache and resilience count is a
+        ``repro_<subsystem>_<metric>`` family here, next to the latency
+        and batch-size histograms and live gauges — aggregated
+        process-wide, worker-process deltas included.
         """
         return self._registry.snapshot()
 
-    def stats(self) -> Dict[str, Any]:
-        """Scheduler counters, queue depth, batching and cache statistics.
+    def _merge_worker_telemetry(self, result: Dict[str, Any]) -> Dict[str, Any]:
+        """Fold a worker process's metrics delta into the registry, then strip it.
 
-        .. deprecated:: PR 7
-            Kept as an alias for one release; prefer :meth:`telemetry`,
-            which exposes the same counts under the unified
-            ``repro_<subsystem>_<metric>`` naming scheme.
+        See :func:`~repro.service.portfolio.ship_worker_telemetry`: only
+        results from separate worker processes carry a delta.
         """
-        batches = self.counters["batches_dispatched"]
-        batched_jobs = self.counters["batched_jobs"]
-        return {
-            "counters": dict(self.counters),
-            "queue_depth": 0 if self._queue is None else self._queue.qsize(),
-            "jobs": len(self._jobs),
-            "shard_size": self.shard_size,
-            "executor": self.executor_kind,
-            "batching": {
-                "max_batch_jobs": self.max_batch_jobs,
-                "max_batch_linger_ms": self.max_batch_linger_ms,
-                "batches_dispatched": batches,
-                "batched_jobs": batched_jobs,
-                "mean_jobs_per_batch": (batched_jobs / batches) if batches else 0.0,
-                "linger_ms_total": self._linger_seconds * 1000.0,
-                "mean_linger_ms_per_batch": (
-                    self._linger_seconds * 1000.0 / batches if batches else 0.0
-                ),
-            },
-            "cache": self.cache.stats.to_dict(),
-            "resilience": {
-                "retry_policy": self.retry_policy.to_dict(),
-                "retried": self.counters["retried"],
-                "quarantined": self.counters["quarantined"],
-                "admission": self._admission.snapshot(),
-                "breakers": self._breakers.snapshot(),
-                "supervisor": (
-                    None if self._supervisor is None else self._supervisor.snapshot()
-                ),
-            },
-        }
+        delta = result.pop("telemetry", None)
+        if delta:
+            self._registry.merge(delta)
+        return result
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -649,8 +596,7 @@ class SolveScheduler:
                 # Cancelled while queued (and possibly already evicted
                 # from the bounded job table) — nothing to run.
                 continue
-            if record.timeline is not None:
-                record.timeline.cut("queue")
+            record.timeline.cut("queue")
             remaining = record.deadline_remaining()
             if remaining is not None and remaining <= 0:
                 self._count("expired")
@@ -690,8 +636,7 @@ class SolveScheduler:
                 self._finish(record, JobStatus.FAILED, error=f"{type(exc).__name__}: {exc}")
                 continue
             self._relabel_outcome(record, outcome)
-            if record.timeline is not None:
-                record.timeline.cut("run", policy=record.request.policy)
+            record.timeline.cut("run", policy=record.request.policy)
             if self._maybe_escalate_solver_miss(record, outcome):
                 continue
             self._breakers.on_success(record.request.policy)
@@ -751,9 +696,7 @@ class SolveScheduler:
                 except asyncio.TimeoutError:
                     break
                 self._consider_queue_item(item, key, batch, requeue)
-            lingered = loop.time() - linger_start
-            self._linger_seconds += lingered
-            self._metrics["batch_linger"].observe(lingered)
+            self._metrics["batch_linger"].observe(loop.time() - linger_start)
         for item in requeue:
             self._queue.put_nowait(item)
         # Drop members cancelled while the batch was forming.
@@ -777,8 +720,7 @@ class SolveScheduler:
             self._finish(record, JobStatus.EXPIRED, error="deadline expired in queue")
             return
         if self._batch_key_for(record) == key:
-            if record.timeline is not None:
-                record.timeline.cut("queue")
+            record.timeline.cut("queue")
             batch.append(record)
         else:
             requeue.append(item)
@@ -809,8 +751,7 @@ class SolveScheduler:
             record.status = JobStatus.RUNNING
             record.started_at = time.time()
             self._running_jobs += 1
-            if record.timeline is not None:
-                record.timeline.cut("coalesce", batch_jobs=len(batch))
+            record.timeline.cut("coalesce", batch_jobs=len(batch))
             request = record.request
             if request.policy == "cnash":
                 # Single-shard by construction (the batch key refuses
@@ -839,8 +780,7 @@ class SolveScheduler:
                     job["game_shm"] = descriptor
             jobs.append(job)
         for record in batch:
-            if record.timeline is not None:
-                record.timeline.cut("shm", segments=len(segments))
+            record.timeline.cut("shm", segments=len(segments))
         payload: Dict[str, Any] = {
             "jobs": jobs,
             "batch_id": batch_id,
@@ -882,25 +822,16 @@ class SolveScheduler:
                 from repro.service.shm import release_segments
 
                 release_segments(segments)
-        # Worker *processes* piggyback their metric increments on the
-        # response; fold them into the parent's registry (thread
-        # executors share the registry and ship no delta).
-        delta = response.get("telemetry")
-        if delta:
-            self._registry.merge(delta)
+        self._merge_worker_telemetry(response)
         cache_entries: List[tuple] = []
         settled: List[tuple] = []
         for record, result in zip(batch, response["jobs"]):
             if record.done:
                 continue
-            if record.timeline is not None:
-                # Splice the worker's materialise/kernel/settle spans
-                # under this job's run window, then close the window.
-                offset_ms = record.timeline.cursor_ms()
-                record.timeline.splice(result.get("trace"), offset_ms)
-                record.timeline.cut(
-                    "run", batch_id=batch_id, worker_span=result.get("span_id")
-                )
+            # Splice the worker's materialise/kernel/settle spans under
+            # this job's run window, then close the window.
+            record.timeline.splice(result.get("trace"), record.timeline.cursor_ms())
+            record.timeline.cut("run", batch_id=batch_id, worker_span=result.get("span_id"))
             remaining = record.deadline_remaining()
             if remaining is not None and remaining <= 0:
                 self._count("expired")
@@ -1044,7 +975,7 @@ class SolveScheduler:
                 )
         elif request.policy == "cnash":
             payloads = shard_payloads(request, self.shard_size)
-            self._attach_fault_plan(payloads)
+            self._stamp_payloads(payloads)
             shard_dicts = await asyncio.gather(
                 *(
                     self._run_worker(solve_shard_payload, payload)
@@ -1052,9 +983,10 @@ class SolveScheduler:
                 )
             )
             self._count("shards_executed", len(payloads))
-            merged = SolverBatchResult.merge(
-                [SolverBatchResult.from_dict(shard) for shard in shard_dicts]
-            )
+            merged = SolverBatchResult.merge([
+                SolverBatchResult.from_dict(self._merge_worker_telemetry(shard))
+                for shard in shard_dicts
+            ])
             return outcome_from_batch(request, merged, backend="cnash", shards=len(payloads))
         if request.policy == "portfolio":
             order = portfolio_order()
@@ -1074,10 +1006,10 @@ class SolveScheduler:
                     "executor='thread' or 'inline'"
                 )
         payload = request.to_dict()
-        self._attach_fault_plan([payload])
+        self._stamp_payloads([payload])
         outcome_dict = await self._run_worker(execute_request_payload, payload)
         self._count("shards_executed")
-        return SolveOutcome.from_dict(outcome_dict)
+        return SolveOutcome.from_dict(self._merge_worker_telemetry(outcome_dict))
 
     async def _execute_portfolio(
         self, request: SolveRequest, order: "tuple[str, ...]"
@@ -1121,15 +1053,19 @@ class SolveScheduler:
         assert self._supervisor is not None
         return await self._supervisor.run(fn, payload, timeout_s=self.worker_timeout_s)
 
-    def _attach_fault_plan(self, payloads: List[Dict[str, Any]]) -> None:
-        """Ship the chaos fault plan (if any) with worker payloads."""
-        if self.fault_plan is None:
-            return
-        plan = self.fault_plan.to_dict()
+    def _stamp_payloads(self, payloads: List[Dict[str, Any]]) -> None:
+        """Stamp solo worker payloads with this pid and the chaos plan (if any).
+
+        The pid tells a worker whether it runs in a separate process,
+        which decides how injected crashes behave and whether it ships
+        its metrics delta home.
+        """
         pid = os.getpid()
+        plan = None if self.fault_plan is None else self.fault_plan.to_dict()
         for payload in payloads:
-            payload["fault_plan"] = plan
             payload["parent_pid"] = pid
+            if plan is not None:
+                payload["fault_plan"] = plan
 
     def _effective_request(self, record: JobRecord) -> SolveRequest:
         """The request to actually execute for the record's current attempt.
@@ -1251,12 +1187,10 @@ class SolveScheduler:
             record.escalation_stage += 1
             record.no_batch = True  # escalated attempts differ from the batch key
         self._batch_keys.pop(record.job_id, None)
-        if record.timeline is not None:
-            record.timeline.cut(
-                "retry", fault_class=fault_class, attempt=attempt,
-                backoff_ms=round(delay * 1000.0, 3),
-            )
-        self.counters["retried"] += 1
+        record.timeline.cut(
+            "retry", fault_class=fault_class, attempt=attempt,
+            backoff_ms=round(delay * 1000.0, 3),
+        )
         self._metrics["retries"].labels(fault_class=fault_class).inc()
         logger.warning(
             "retrying job after %s failure", fault_class,
@@ -1323,7 +1257,7 @@ class SolveScheduler:
                 "job": record.request.fingerprint(),
                 "job_id": record.job_id,
                 "batch_id": batch_id,
-                "span_id": None if record.timeline is None else record.timeline.span_id,
+                "span_id": record.timeline.span_id,
                 "policy": record.request.policy,
                 "err": str(error),
             },
@@ -1351,20 +1285,13 @@ class SolveScheduler:
             # stamped after cache writes, so cached bytes stay identical
             # whether or not the computing run needed retries.
             record.outcome.attempts = record.attempts
-        timeline = record.timeline
-        if (
-            timeline is not None
-            and status == JobStatus.DONE
-            and record.outcome is not None
-            and not record.cache_hit
-        ):
             # Close the timeline so the contiguous top-level phases span
             # submit-to-finish exactly, then publish it on the outcome.
             # Cache hits and coalesced followers are skipped: their
             # outcome object is shared (the leader's) or deserialised
             # from a cache entry that carries no trace.
-            timeline.cut("settle", status=status)
-            record.outcome.trace = timeline.to_wire()
+            record.timeline.cut("settle", status=status)
+            record.outcome.trace = record.timeline.to_wire()
         # Spec-backed requests may have materialised their dense game in
         # this process (outcome merging, verification); the record stays
         # in the retained job table, so drop the matrices now — a cold

@@ -18,8 +18,7 @@ Operations
 ``submit``                   submit and return the job id immediately.
 ``status`` / ``result``      poll / wait on a previously submitted job.
 ``cancel``                   cancel a queued job.
-``stats``                    scheduler + cache counters (deprecated alias).
-``telemetry``                unified metrics snapshot (supersedes ``stats``).
+``telemetry``                metrics registry snapshot (every counter family).
 ``shutdown``                 stop the server (used by tests and smoke runs).
 
 A Prometheus text exposition of the same registry is served over HTTP
@@ -168,8 +167,6 @@ class NashServer:
         op = message["op"]
         if op == "ping":
             return {"ok": True, "pong": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.scheduler.stats()}
         if op == "telemetry":
             return {"ok": True, "telemetry": self.scheduler.telemetry()}
         if op == "solve":
@@ -264,12 +261,14 @@ async def _smoke(chaos: bool = False) -> int:
     plan (:func:`~repro.service.resilience.chaos_plan`: one worker
     crash, one injected kernel error, one corrupted settle payload, one
     materialisation delay) — the run must still produce every result,
-    with the retries visible in the attempt counters.
+    with the retries visible in ``repro_resilience_retries_total``.
+
+    Every count the smoke asserts on is read from the ``telemetry`` op.
     """
     from repro.core.config import CNashConfig
     from repro.games.spec import GameSpec
     from repro.service.client import ServiceClient
-    from repro.telemetry import render_prometheus, validate_phases
+    from repro.telemetry import family_total, render_prometheus, validate_phases
 
     # Under chaos, one job can absorb several injections back to back
     # (a worker crash fails its whole batch, then the kernel error can
@@ -320,15 +319,15 @@ async def _smoke(chaos: bool = False) -> int:
                 for index in range(6)
             ]
             sweep_outcomes = [await client.result(job_id) for job_id in job_ids]
-            stats = await client.stats()
             telemetry = await client.telemetry()
             await client.shutdown()
         finally:
             await client.close()
         await serve_task
         await server.close()
-        hits = stats["cache"]["hits"]
-        batching = stats["batching"]
+        hits = family_total(telemetry, "repro_scheduler_cache_hits_total")
+        batches = family_total(telemetry, "repro_scheduler_batches_dispatched_total")
+        batched_jobs = family_total(telemetry, "repro_scheduler_batched_jobs_total")
 
         # The telemetry command must expose every metric family the
         # layers registered in this process.
@@ -380,38 +379,34 @@ async def _smoke(chaos: bool = False) -> int:
             and _result_dict(repeat) == _result_dict(outcome)
             and hits >= 1
             and len(sweep_outcomes) == 6
-            and batching["batches_dispatched"] >= 1
+            and batches >= 1
         )
         if chaos:
             # Every injected fault must have been absorbed: all results
             # arrived above, and the retries are visible in the counters.
-            resilience = stats["resilience"]
+            retries = family_total(telemetry, "repro_resilience_retries_total")
+            quarantined = family_total(telemetry, "repro_resilience_quarantined_total")
+            injected = family_total(telemetry, "repro_resilience_faults_injected_total")
             retried_attempts = [
                 o.attempts for o in [outcome] + sweep_outcomes if o.attempts > 1
             ]
-            injected = families.get("repro_resilience_faults_injected_total")
             chaos_ok = (
-                resilience["retried"] >= 1
-                and resilience["quarantined"] == 0
+                retries >= 1
+                and quarantined == 0
                 and bool(retried_attempts)
-                and injected is not None
-                and sum(s["value"] for s in injected["samples"]) >= 1
-                and "repro_resilience_retries_total" in families
+                and injected >= 1
             )
             print(
-                f"smoke chaos: retried={resilience['retried']} "
+                f"smoke chaos: retries={int(retries)} quarantined={int(quarantined)} "
                 f"jobs_with_retries={len(retried_attempts)} "
-                f"faults_injected={0 if injected is None else int(sum(s['value'] for s in injected['samples']))} "
+                f"faults_injected={int(injected)} "
                 f"-> {'OK' if chaos_ok else 'FAILED'}"
             )
             ok = ok and chaos_ok
         print(f"smoke: backend={outcome.backend} equilibria={outcome.num_equilibria} "
-              f"cache_hits={hits} -> {'OK' if ok else 'FAILED'}")
-        print(
-            "smoke batching: batches_dispatched={batches_dispatched} "
-            "batched_jobs={batched_jobs} mean_jobs_per_batch={mean_jobs_per_batch:.2f} "
-            "mean_linger_ms_per_batch={mean_linger_ms_per_batch:.2f}".format(**batching)
-        )
+              f"cache_hits={int(hits)} -> {'OK' if ok else 'FAILED'}")
+        print(f"smoke batching: batches_dispatched={int(batches)} "
+              f"batched_jobs={int(batched_jobs)}")
         print(f"smoke telemetry: {len(families)} metric families, "
               f"{len(traced)}/{len(sweep_outcomes)} traced sweep jobs")
         return 0 if ok else 1

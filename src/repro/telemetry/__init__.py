@@ -25,10 +25,9 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    enabled,
     family_cache,
+    family_total,
     registry,
-    set_enabled,
     set_registry,
     temporary_registry,
 )
@@ -45,13 +44,12 @@ __all__ = [
     "Timeline",
     "JsonFormatter",
     "configure_logging",
-    "enabled",
     "family_cache",
+    "family_total",
     "get_logger",
     "phase_durations",
     "registry",
     "render_prometheus",
-    "set_enabled",
     "set_registry",
     "start_metrics_server",
     "temporary_registry",

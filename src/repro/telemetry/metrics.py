@@ -5,28 +5,22 @@ metric the repro service layers publish.  The design goals, in order:
 
 * **One vocabulary.**  Every metric is named
   ``repro_<subsystem>_<metric>`` (``repro_scheduler_jobs_submitted_total``,
-  ``repro_cache_hits_total``, ``repro_kernel_proposals_total``), replacing
-  the five ad-hoc ``stats()`` dict shapes that PR 2–6 accreted.  The old
-  dicts remain as deprecated aliases; this registry is the source the
-  ``telemetry`` server command and the Prometheus text exposition read.
+  ``repro_cache_hits_total``, ``repro_kernel_proposals_total``).  This
+  registry is the only counters surface: the ``telemetry`` server
+  command, the Prometheus text exposition and :func:`repro.api.sweep`
+  all read it.  It is always on.
 * **Cheap on the hot path.**  A counter increment is one lock acquire and
   one integer add (~100 ns); a histogram observation is a lock acquire
   plus one :func:`bisect.bisect_left`.  The scheduler's per-job cost is a
-  handful of these against a per-job solve measured in milliseconds, so
-  telemetry stays within the <3 % jobs/sec budget
-  (``benchmarks/test_telemetry_overhead.py`` guards this).
+  handful of these against a per-job solve measured in milliseconds.
 * **Thread-safe and fork-aware.**  Every mutation takes the child's own
   lock, so concurrent executor threads can increment freely.  A forked
   worker *process* inherits the parent's registry state; on first use
   after the fork the registry detects the PID change and resets itself,
   so a worker's :meth:`~MetricsRegistry.export_delta` payload contains
   only work that worker actually did.  Worker deltas travel back to the
-  parent inside the existing batch-outcome payloads and are folded in
-  with :meth:`~MetricsRegistry.merge`.
-
-Telemetry can be disabled process-wide with :func:`set_enabled` — every
-mutator becomes a no-op — which is what the overhead benchmark uses to
-measure the enabled-vs-disabled delta on identical hardware.
+  parent inside every worker result (batch, shard or whole request) and
+  are folded in with :meth:`~MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -45,9 +39,8 @@ __all__ = [
     "registry",
     "set_registry",
     "temporary_registry",
-    "enabled",
-    "set_enabled",
     "family_cache",
+    "family_total",
 ]
 
 #: Default histogram boundaries for service latencies (seconds): spans
@@ -56,26 +49,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
-
-_ENABLED = True
-
-
-def enabled() -> bool:
-    """Whether telemetry mutations are live (see :func:`set_enabled`)."""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    """Process-wide telemetry kill switch.
-
-    Disabling turns every counter/gauge/histogram mutation and every
-    span into a no-op (already-recorded values are kept).  The old
-    deprecated ``stats()`` dicts are independent of this switch, so
-    pre-telemetry behaviour is fully preserved when disabled.
-    """
-    global _ENABLED
-    _ENABLED = bool(value)
-
 
 class _Child:
     """One labelled time series of a metric family."""
@@ -98,8 +71,6 @@ class Counter(_Child):
 
     def inc(self, amount: float = 1) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
-        if not _ENABLED:
-            return
         if amount < 0:
             raise ValueError(f"counters only go up, got inc({amount})")
         with self._lock:
@@ -139,15 +110,11 @@ class Gauge(_Child):
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
-        if not _ENABLED:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1) -> None:
         """Add ``amount`` (may be negative)."""
-        if not _ENABLED:
-            return
         with self._lock:
             self._value += amount
 
@@ -214,8 +181,6 @@ class Histogram(_Child):
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        if not _ENABLED:
-            return
         index = bisect_left(self.boundaries, value)
         with self._lock:
             self._counts[index] += 1
@@ -531,7 +496,7 @@ class MetricsRegistry:
         """Increments since the previous export (counters/histograms only).
 
         Used by worker processes to ship their metrics back to the
-        parent piggybacked on batch-outcome payloads; apply with
+        parent piggybacked on their results; apply with
         :meth:`merge`.  Each call marks the exported values, so repeated
         exports never double-report.  Gauges are skipped — a worker's
         live state is not additive across processes.
@@ -578,6 +543,23 @@ class MetricsRegistry:
         """Drop every family (tests only)."""
         with self._lock:
             self._families.clear()
+
+
+def family_total(snapshot: Dict[str, Any], name: str, **labels: str) -> float:
+    """Sum of one counter or gauge family's sample values in a snapshot.
+
+    ``snapshot`` is a :meth:`MetricsRegistry.snapshot` (or ``telemetry``
+    op) body.  Keyword ``labels`` keep only the samples carrying those
+    label values; a family the snapshot lacks sums to zero.
+    """
+    entry = snapshot["families"].get(name)
+    if entry is None:
+        return 0.0
+    return sum(
+        sample["value"]
+        for sample in entry["samples"]
+        if all(sample["labels"].get(key) == str(value) for key, value in labels.items())
+    )
 
 
 # ----------------------------------------------------------------------

@@ -27,10 +27,6 @@ Wire form (JSON-able, attached as ``SolveOutcome.trace`` and surfaced as
      {"name": "run",   "start_ms": 3.4, "end_ms": 9.9, "depth": 0},
      {"name": "kernel", "start_ms": 4.1, "end_ms": 9.0, "depth": 1,
       "meta": {"games": 8}}, ...]
-
-Everything here is a no-op when telemetry is disabled (see
-:func:`repro.telemetry.set_enabled`), so the hot path pays nothing
-beyond a boolean check.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ import os
 from itertools import count
 from time import perf_counter_ns
 from typing import Any, Dict, Iterable, List, Optional
-
-from .metrics import enabled
 
 __all__ = ["Timeline", "phase_durations", "validate_phases"]
 
@@ -89,21 +83,6 @@ class _Span:
         timeline.phases.append(phase)
 
 
-class _DisabledSpan:
-    """Shared no-op for spans opened while telemetry is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_DISABLED_SPAN = _DisabledSpan()
-
-
 class Timeline:
     """One job's trace: an origin instant plus recorded phases."""
 
@@ -128,8 +107,6 @@ class Timeline:
         **meta: Any,
     ) -> None:
         """Record a phase from absolute ``perf_counter_ns`` instants."""
-        if not enabled():
-            return
         phase: Dict[str, Any] = {
             "name": name,
             "start_ms": (start_ns - self.origin_ns) / _NS_PER_MS,
@@ -140,10 +117,8 @@ class Timeline:
             phase["meta"] = meta
         self.phases.append(phase)
 
-    def span(self, name: str, **meta: Any) -> Any:
+    def span(self, name: str, **meta: Any) -> _Span:
         """Time the enclosed block as a phase; nesting sets depth."""
-        if not enabled():
-            return _DISABLED_SPAN
         return _Span(self, name, meta)
 
     def cut(self, name: str, **meta: Any) -> None:
@@ -153,8 +128,6 @@ class Timeline:
         whole timeline, which is what makes per-job phase durations sum
         to the end-to-end latency.
         """
-        if not enabled():
-            return
         now = perf_counter_ns()
         origin = self.origin_ns
         phase: Dict[str, Any] = {
@@ -184,8 +157,6 @@ class Timeline:
         origin (typically where the local ``run`` phase started);
         ``depth_shift`` nests them under the enclosing local phase.
         """
-        if not enabled():
-            return
         for phase in wire_phases or []:
             spliced = dict(phase)
             spliced["start_ms"] = float(phase["start_ms"]) + offset_ms

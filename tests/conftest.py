@@ -14,6 +14,7 @@ from repro.games import (
     modified_prisoners_dilemma,
     prisoners_dilemma,
 )
+from repro.telemetry import family_total, temporary_registry
 
 
 @pytest.fixture
@@ -56,3 +57,14 @@ def fast_config() -> CNashConfig:
 def rng() -> np.random.Generator:
     """A seeded generator for deterministic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def counts():
+    """Counters of a private telemetry registry, live for the whole test.
+
+    ``counts(name, **labels)`` sums a family's samples (0 when nothing
+    declared it), so each test sees only the events it caused.
+    """
+    with temporary_registry() as registry:
+        yield lambda name, **labels: family_total(registry.snapshot(), name, **labels)

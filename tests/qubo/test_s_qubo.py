@@ -213,26 +213,6 @@ class TestBinaryAnnealer:
             assert read.best_energy == pytest.approx(model.energy(read.best_assignment))
             assert len(read.energy_history) == 300
 
-    def test_immutable_protocol_problem_still_works_on_generic_engine(self):
-        """BinaryQuboBatchProblem stays usable with VectorizedAnnealer."""
-        from repro.annealing import AnnealingConfig, VectorizedAnnealer
-        from repro.qubo import BinaryQuboBatchProblem, QuboModel
-
-        model = QuboModel(np.random.default_rng(5).normal(size=(6, 6)))
-        exact = brute_force_solve(model)
-        problem = BinaryQuboBatchProblem(model)
-        batch = VectorizedAnnealer(
-            problem, AnnealingConfig(num_iterations=200 * 6)
-        ).run(batch_size=8, seed=0)
-        assert float(batch.best_energies.min()) == pytest.approx(
-            exact.best_energy, abs=1e-9
-        )
-        for index in range(8):
-            assignment = problem.unstack(batch.best_states, index)
-            assert model.energy(assignment) == pytest.approx(
-                float(batch.best_energies[index])
-            )
-
     def test_vectorized_batch_reproducible_from_seed(self):
         from repro.qubo import BinaryAnnealerConfig, QuboModel
 

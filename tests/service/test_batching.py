@@ -2,9 +2,9 @@
 
 The PR-6 acceptance surface: compatible queued jobs ride one worker
 dispatch (and, when fused-eligible, one multi-game kernel launch) with
-results byte-identical to the per-job path, batching metrics surfaced in
-``stats()``, spec materialisation amortised per worker, and per-job
-failure isolation inside a coalesced batch.
+results byte-identical to the per-job path, batching counted by the
+``repro_scheduler_*`` telemetry families, spec materialisation amortised
+per worker, and per-job failure isolation inside a coalesced batch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import CNashConfig
 from repro.games.library import battle_of_the_sexes, stag_hunt
-from repro.games.matcache import global_materialization_cache
 from repro.games.spec import GameSpec
 from repro.service.batching import compute_batch_key
 from repro.service.jobs import JobStatus, SolveRequest
@@ -100,7 +99,7 @@ class TestBatchKeys:
 
 
 class TestBatchedDispatch:
-    def test_batched_results_bit_identical_to_per_job(self):
+    def test_batched_results_bit_identical_to_per_job(self, counts):
         requests = [spec_request(seed) for seed in range(10)]
 
         async def solve_with(max_batch_jobs, linger):
@@ -111,13 +110,13 @@ class TestBatchedDispatch:
                 max_batch_jobs=max_batch_jobs,
                 max_batch_linger_ms=linger,
             ) as sched:
-                outcomes = await solve_all(sched, requests)
-                return outcomes, sched.stats()
+                return await solve_all(sched, requests)
 
-        batched, batched_stats = run(solve_with(16, 100.0))
-        solo, solo_stats = run(solve_with(1, 0.0))
-        assert batched_stats["batching"]["batches_dispatched"] >= 1
-        assert solo_stats["batching"]["batches_dispatched"] == 0
+        batched = run(solve_with(16, 100.0))
+        batches = counts("repro_scheduler_batches_dispatched_total")
+        solo = run(solve_with(1, 0.0))
+        assert batches >= 1
+        assert counts("repro_scheduler_batches_dispatched_total") == batches  # solo: none
         assert [canon(o) for o in batched] == [canon(o) for o in solo]
 
     def test_mixed_policy_batch_matches_per_job(self):
@@ -141,7 +140,7 @@ class TestBatchedDispatch:
         solo = run(solve_with(1))
         assert [canon(o) for o in batched] == [canon(o) for o in solo]
 
-    def test_batching_stats_reported(self):
+    def test_batching_stats_reported(self, counts):
         async def body():
             async with SolveScheduler(
                 max_workers=2,
@@ -151,29 +150,30 @@ class TestBatchedDispatch:
                 max_batch_linger_ms=100.0,
             ) as sched:
                 await solve_all(sched, [spec_request(seed) for seed in range(6)])
-                return sched.stats()
+                return sched.telemetry()["families"]
 
-        stats = run(body())
-        batching = stats["batching"]
-        assert batching["max_batch_jobs"] == 16
-        assert batching["max_batch_linger_ms"] == 100.0
-        assert batching["batches_dispatched"] >= 1
-        assert batching["batched_jobs"] >= 2
-        assert batching["mean_jobs_per_batch"] >= 2.0
-        assert batching["linger_ms_total"] >= 0.0
-        assert stats["counters"]["batched_jobs"] == batching["batched_jobs"]
+        families = run(body())
+        batches = counts("repro_scheduler_batches_dispatched_total")
+        batched_jobs = counts("repro_scheduler_batched_jobs_total")
+        assert batches >= 1
+        assert batched_jobs >= 2
+        assert batched_jobs / batches >= 2.0
+        sizes = families["repro_scheduler_batch_jobs"]["samples"][0]
+        assert sizes["count"] == batches and sizes["sum"] == batched_jobs
+        # Every batchable leader lingers, including those left alone.
+        linger = families["repro_scheduler_batch_linger_seconds"]["samples"][0]
+        assert linger["count"] >= batches and linger["sum"] >= 0.0
 
-    def test_single_job_uses_solo_path(self):
+    def test_single_job_uses_solo_path(self, counts):
         async def body():
             async with SolveScheduler(
                 max_workers=2, shard_size=8, executor="thread", max_batch_jobs=16
             ) as sched:
-                outcome = await sched.solve(spec_request(3))
-                return outcome, sched.stats()
+                return await sched.solve(spec_request(3))
 
-        outcome, stats = run(body())
+        outcome = run(body())
         assert outcome.batch["runs"]
-        assert stats["batching"]["batches_dispatched"] == 0
+        assert counts("repro_scheduler_batches_dispatched_total") == 0
 
     def test_batching_disabled_by_knob(self):
         with pytest.raises(ValueError, match="max_batch_jobs"):
@@ -181,7 +181,7 @@ class TestBatchedDispatch:
         with pytest.raises(ValueError, match="max_batch_linger_ms"):
             SolveScheduler(executor="thread", max_batch_linger_ms=-1.0)
 
-    def test_repeated_spec_materialises_once_per_worker(self):
+    def test_repeated_spec_materialises_once_per_worker(self, counts):
         # Eight distinct (different solve seed) jobs over ONE 64x64 spec:
         # the worker-side materialisation cache must build the dense
         # matrices exactly once for the whole batch run.
@@ -202,17 +202,14 @@ class TestBatchedDispatch:
             ) as sched:
                 return await solve_all(sched, requests)
 
-        cache = global_materialization_cache()
-        before = cache.stats()
         outcomes = run(body())
-        after = cache.stats()
         assert len(outcomes) == 8
-        assert after["misses"] - before["misses"] == 1
-        assert after["hits"] - before["hits"] >= 7
+        assert counts("repro_matcache_misses_total") == 1
+        assert counts("repro_matcache_hits_total") >= 7
 
 
 class TestBatchFailureIsolation:
-    def test_failing_job_inside_a_batch_fails_alone(self):
+    def test_failing_job_inside_a_batch_fails_alone(self, counts):
         # A cnash request whose spec cannot materialise shares the batch
         # key with healthy jobs (the key hashes config, not the game),
         # so it rides the same coalesced dispatch — and must fail alone.
@@ -240,10 +237,10 @@ class TestBatchFailureIsolation:
                     except RuntimeError:
                         outcomes[record.job_id] = None
                 jobs = [sched.job(record.job_id) for record in records]
-                return jobs, outcomes, sched.stats()
+                return jobs, outcomes
 
-        jobs, outcomes, stats = run(solve_batched())
-        assert stats["batching"]["batches_dispatched"] >= 1
+        jobs, outcomes = run(solve_batched())
+        assert counts("repro_scheduler_batches_dispatched_total") >= 1
         statuses = [job.status for job in jobs]
         assert statuses == [
             JobStatus.DONE, JobStatus.DONE, JobStatus.FAILED,
@@ -264,7 +261,7 @@ class TestBatchFailureIsolation:
         ]
         assert [canon(o) for o in batched_healthy] == [canon(o) for o in solo]
 
-    def test_deadline_expiry_mid_batch_marks_only_that_job(self):
+    def test_deadline_expiry_mid_batch_marks_only_that_job(self, counts):
         slow = CNashConfig(num_intervals=6, num_iterations=4000)
         doomed = SolveRequest.from_dict(
             {**spec_request(50, size=16, config=slow).to_dict(), "deadline_s": 0.05}
@@ -286,9 +283,9 @@ class TestBatchFailureIsolation:
                     await sched.wait(records[-1].job_id)
                 for record in records[:-1]:
                     await sched.wait(record.job_id)
-                return [sched.job(record.job_id) for record in records], sched.stats()
+                return [sched.job(record.job_id) for record in records]
 
-        jobs, stats = run(body())
+        jobs = run(body())
         assert [job.status for job in jobs[:-1]] == [JobStatus.DONE] * 3
         assert jobs[-1].status == JobStatus.EXPIRED
-        assert stats["counters"]["expired"] == 1
+        assert counts("repro_scheduler_jobs_expired_total") == 1

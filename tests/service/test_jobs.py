@@ -15,8 +15,6 @@ from repro.service.jobs import (
     JobStatus,
     SolveOutcome,
     SolveRequest,
-    config_from_dict,
-    config_to_dict,
     game_from_dict,
     game_to_dict,
 )
@@ -89,6 +87,13 @@ class TestFingerprint:
             assert request.fingerprint() == first
         assert calls["count"] == 1
 
+    def test_request_fingerprints_stable_without_epsilon(self):
+        # The epsilon field joined the schema later; unset it must leave
+        # historical fingerprints (= persisted cache keys) unchanged.
+        request = _request()
+        assert request.fingerprint() == _request().fingerprint()
+        assert _request(epsilon=0.5).fingerprint() != request.fingerprint()
+
 
 class TestWireRoundTrips:
     def test_game_round_trip(self):
@@ -109,7 +114,7 @@ class TestWireRoundTrips:
             execution="sequential",
             acceptance=GlauberAcceptance(),
         )
-        restored = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        restored = CNashConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
 
     def test_request_round_trip(self):

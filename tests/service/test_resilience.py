@@ -45,6 +45,7 @@ from repro.service.resilience import (
     retry_seed,
 )
 from repro.service.scheduler import SolveScheduler
+from repro.telemetry import family_total, temporary_registry
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -218,7 +219,7 @@ class TestAdmissionController:
         controller = AdmissionController()
         controller.admit(10**9, priority=5)  # unbounded: anything goes
 
-    def test_full_queue_sheds_everyone(self):
+    def test_full_queue_sheds_everyone(self, counts):
         controller = AdmissionController(max_queue_depth=4)
         controller.admit(3, priority=0)
         with pytest.raises(Overloaded) as excinfo:
@@ -226,21 +227,21 @@ class TestAdmissionController:
         assert excinfo.value.queue_depth == 4
         assert excinfo.value.capacity == 4
         assert excinfo.value.retry_after_s > 0
-        assert controller.snapshot()["shed_full"] == 1
+        assert counts("repro_resilience_shed_total", reason="full") == 1
 
-    def test_background_shed_before_full(self):
+    def test_background_shed_before_full(self, counts):
         controller = AdmissionController(max_queue_depth=4)
         controller.admit(3, priority=0)  # interactive rides to the brim
         with pytest.raises(Overloaded):
             controller.admit(3, priority=1)  # background shed at 75%
-        assert controller.snapshot()["shed_background"] == 1
+        assert counts("repro_resilience_shed_total", reason="background") == 1
 
 
 # ----------------------------------------------------------------------
 # Worker-pool supervision (unit level)
 # ----------------------------------------------------------------------
 class TestSupervisor:
-    def test_broken_pool_rebuilds_and_raises_worker_death(self):
+    def test_broken_pool_rebuilds_and_raises_worker_death(self, counts):
         from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
         supervisor = WorkerPoolSupervisor(lambda: ThreadPoolExecutor(max_workers=1))
@@ -256,10 +257,10 @@ class TestSupervisor:
         run(body())
         assert supervisor.executor is not first_pool
         assert supervisor.generation == 1
-        assert supervisor.snapshot()["deaths"] == 1
+        assert counts("repro_resilience_worker_restarts_total", cause="death") == 1
         supervisor.shutdown()
 
-    def test_hang_detection_rebuilds_and_raises_worker_hang(self):
+    def test_hang_detection_rebuilds_and_raises_worker_hang(self, counts):
         import time
         from concurrent.futures import ThreadPoolExecutor
 
@@ -272,7 +273,7 @@ class TestSupervisor:
 
         run(body())
         assert supervisor.executor is not first_pool
-        assert supervisor.snapshot()["hangs"] == 1
+        assert counts("repro_resilience_worker_restarts_total", cause="hang") == 1
         supervisor.shutdown()
 
     def test_inline_execution_unsupervised(self):
@@ -288,16 +289,23 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 # Scheduler-level chaos: crashes, retries, quarantine, escalation
 # ----------------------------------------------------------------------
-class TestSchedulerChaos:
-    def _sweep(self, scheduler_kwargs, requests):
+def sweep(scheduler_kwargs, requests):
+    """Solve ``requests`` on a fresh scheduler under its own registry.
+
+    Returns the outcomes and ``counts(name, **labels)`` over the events
+    that sweep alone caused.
+    """
+    with temporary_registry() as registry:
         async def body():
             async with SolveScheduler(**scheduler_kwargs) as scheduler:
                 records = [await scheduler.submit(r) for r in requests]
-                outcomes = [await scheduler.wait(rec.job_id) for rec in records]
-                return outcomes, scheduler.counters.copy(), scheduler.stats()
+                return [await scheduler.wait(rec.job_id) for rec in records]
 
-        return run(body())
+        outcomes = run(body())
+    return outcomes, lambda name, **labels: family_total(registry.snapshot(), name, **labels)
 
+
+class TestSchedulerChaos:
     def test_worker_crash_mid_batch_is_bit_identical(self):
         # A worker crash (thread surrogate) mid-coalesced-batch: every
         # job completes, results match the fault-free run byte for byte,
@@ -307,20 +315,18 @@ class TestSchedulerChaos:
             max_workers=2, executor="thread", shard_size=8,
             max_batch_linger_ms=25.0,
         )
-        baseline, base_counters, _ = self._sweep(base_kwargs, requests)
+        baseline, base_counts = sweep(base_kwargs, requests)
         plan = FaultPlan(rules=(
             FaultRule(point="worker_entry", action="crash", times=1),
         ))
-        chaotic, counters, stats = self._sweep(
-            {**base_kwargs, "fault_plan": plan}, requests)
+        chaotic, counts = sweep({**base_kwargs, "fault_plan": plan}, requests)
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["retried"] >= 1
-        assert counters["completed"] == len(requests)
+        assert counts("repro_resilience_retries_total") >= 1
+        assert counts("repro_scheduler_jobs_completed_total") == len(requests)
         assert any(o.attempts > 1 for o in chaotic)
         assert all(o.attempts == 1 for o in baseline)
-        assert base_counters["retried"] == 0
-        assert stats["resilience"]["retried"] == counters["retried"]
+        assert base_counts("repro_resilience_retries_total") == 0
 
     def test_transient_kernel_fault_and_corrupt_payload_recover(self):
         requests = [spec_request(seed) for seed in range(4)]
@@ -328,7 +334,7 @@ class TestSchedulerChaos:
             max_workers=2, executor="thread", shard_size=8,
             max_batch_linger_ms=25.0,
         )
-        baseline, _, _ = self._sweep(base_kwargs, requests)
+        baseline, _ = sweep(base_kwargs, requests)
         # One kernel fault aborts the whole fused group, so a job can
         # eat both injections back to back — give the transient rule
         # headroom beyond the default two attempts.
@@ -338,13 +344,13 @@ class TestSchedulerChaos:
             FaultRule(point="kernel", action="error", times=1),
             FaultRule(point="settle", action="corrupt", times=1),
         ))
-        chaotic, counters, _ = self._sweep(
+        chaotic, counts = sweep(
             {**base_kwargs, "fault_plan": plan, "retry_policy": roomy}, requests)
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["retried"] >= 2  # one per injected fault
+        assert counts("repro_resilience_retries_total") >= 2  # one per injected fault
 
-    def test_poison_pill_is_quarantined_and_companions_survive(self):
+    def test_poison_pill_is_quarantined_and_companions_survive(self, counts):
         # The poison job kills its worker twice (match pins the fault to
         # its fingerprint); after the second death it is quarantined —
         # batch companions complete normally.
@@ -366,9 +372,9 @@ class TestSchedulerChaos:
                     return_exceptions=True,
                 )
                 statuses = [rec.status for rec in records]
-                return results, statuses, scheduler.counters.copy()
+                return results, statuses
 
-        results, statuses, counters = run(body())
+        results, statuses = run(body())
         plan.reset()
         assert statuses[0] == JobStatus.QUARANTINED
         assert isinstance(results[0], RuntimeError)
@@ -376,10 +382,10 @@ class TestSchedulerChaos:
         for outcome, status in zip(results[1:], statuses[1:]):
             assert status == JobStatus.DONE
             assert not isinstance(outcome, BaseException)
-        assert counters["quarantined"] == 1
-        assert counters["completed"] == len(requests) - 1
+        assert counts("repro_resilience_quarantined_total") == 1
+        assert counts("repro_scheduler_jobs_completed_total") == len(requests) - 1
 
-    def test_retry_exhaustion_fails_the_job(self):
+    def test_retry_exhaustion_fails_the_job(self, counts):
         # More faults than the transient budget (max_attempts=2): the
         # job retries once, then fails terminally with its attempt
         # count intact.
@@ -395,15 +401,15 @@ class TestSchedulerChaos:
                 record = await scheduler.submit(spec_request(1))
                 with pytest.raises(RuntimeError):
                     await scheduler.wait(record.job_id)
-                return record.attempts, scheduler.counters.copy()
+                return record.attempts
 
-        attempts, counters = run(body())
+        attempts = run(body())
         plan.reset()
         assert attempts == 2
-        assert counters["retried"] == 1
-        assert counters["failed"] == 1
+        assert counts("repro_resilience_retries_total", fault_class=TRANSIENT) == 1
+        assert counts("repro_scheduler_jobs_failed_total") == 1
 
-    def test_solver_miss_escalation_retries_with_fresh_seed(self, monkeypatch):
+    def test_solver_miss_escalation_retries_with_fresh_seed(self, monkeypatch, counts):
         # Deterministic miss: the verifier says "no" to the first
         # attempt and "yes" afterwards.  Escalation is opt-in; the
         # retried outcome answers the *original* request fingerprint.
@@ -422,12 +428,11 @@ class TestSchedulerChaos:
                 retry_policy=RetryPolicy.with_escalation(solver_attempts=3),
             ) as scheduler:
                 record = await scheduler.submit(request)
-                outcome = await scheduler.wait(record.job_id)
-                return outcome, scheduler.counters.copy()
+                return await scheduler.wait(record.job_id)
 
-        outcome, counters = run(body())
+        outcome = run(body())
         assert outcome.attempts == 2
-        assert counters["retried"] == 1
+        assert counts("repro_resilience_retries_total", fault_class=SOLVER_MISS) == 1
         assert outcome.fingerprint == request.fingerprint()
         assert outcome.policy == request.policy
 
@@ -449,7 +454,7 @@ class TestSchedulerChaos:
 
         assert run(body()).attempts == 1
 
-    def test_open_breaker_rejects_submissions(self):
+    def test_open_breaker_rejects_submissions(self, counts):
         async def body():
             async with SolveScheduler(
                 max_workers=1, executor="inline", max_batch_jobs=1,
@@ -459,10 +464,10 @@ class TestSchedulerChaos:
                 scheduler._breakers.on_failure("cnash")
                 with pytest.raises(CircuitOpen):
                     await scheduler.submit(spec_request(5))
-                return scheduler.counters.copy()
 
-        counters = run(body())
-        assert counters["failed"] == 1  # the rejected job is a FAILED record
+        run(body())
+        assert counts("repro_scheduler_jobs_failed_total") == 1  # a FAILED record
+        assert counts("repro_resilience_breaker_opens_total", backend="cnash") == 1
 
     def test_admission_sheds_when_queue_is_full(self):
         async def body():
@@ -495,30 +500,17 @@ class TestProcessCrashSweep:
             max_batch_linger_ms=10.0,
         )
 
-        def sweep(extra):
-            async def body():
-                async with SolveScheduler(**base_kwargs, **extra) as scheduler:
-                    records = [await scheduler.submit(r) for r in requests]
-                    outcomes = [
-                        await scheduler.wait(rec.job_id) for rec in records
-                    ]
-                    return outcomes, scheduler.counters.copy(), scheduler.stats()
-
-            return run(body())
-
-        baseline, _, _ = sweep({})
+        baseline, _ = sweep(base_kwargs, requests)
         plan = FaultPlan(rules=(
             FaultRule(point="worker_entry", action="crash", times=1),
         ))
-        chaotic, counters, stats = sweep({"fault_plan": plan})
+        chaotic, counts = sweep({**base_kwargs, "fault_plan": plan}, requests)
         plan.reset()
         assert [canon(o) for o in chaotic] == [canon(o) for o in baseline]
-        assert counters["completed"] == len(requests)
-        assert counters["retried"] >= 1
+        assert counts("repro_scheduler_jobs_completed_total") == len(requests)
+        assert counts("repro_resilience_retries_total") >= 1
         assert any(o.attempts > 1 for o in chaotic)
-        supervisor = stats["resilience"]["supervisor"]
-        assert supervisor["deaths"] >= 1
-        assert supervisor["restarts"] >= 1
+        assert counts("repro_resilience_worker_restarts_total", cause="death") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +558,7 @@ class TestTypedClientErrors:
 
 
 class TestBoundedDiskCache:
-    def test_disk_tier_evicts_oldest_mtime_first(self, tmp_path):
+    def test_disk_tier_evicts_oldest_mtime_first(self, tmp_path, counts):
         cache = ResultCache(capacity=8, directory=tmp_path, max_disk_bytes=1)
         entry = {"fingerprint": "a" * 64, "policy": "cnash"}
         cache.put("a" * 64, entry)
@@ -579,16 +571,15 @@ class TestBoundedDiskCache:
         cache.put("b" * 64, dict(entry, fingerprint="b" * 64))
         assert not path_a.exists()
         assert (tmp_path / ("b" * 64 + ".json")).exists()
-        assert cache.stats.disk_evictions >= 1
-        assert cache.stats.to_dict()["disk_evictions"] >= 1
+        assert counts("repro_cache_disk_evictions_total") >= 1
 
-    def test_unbounded_by_default(self, tmp_path):
+    def test_unbounded_by_default(self, tmp_path, counts):
         cache = ResultCache(capacity=8, directory=tmp_path)
         for index in range(4):
             key = f"{index:064x}"
             cache.put(key, {"fingerprint": key})
         assert len(list(tmp_path.glob("*.json"))) == 4
-        assert cache.stats.disk_evictions == 0
+        assert counts("repro_cache_disk_evictions_total") == 0
 
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="max_disk_bytes"):

@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.backends import profiles_from_wire
 from repro.core.config import CNashConfig
 from repro.games.equilibrium import is_epsilon_equilibrium
 from repro.games.library import (
@@ -24,7 +25,6 @@ from repro.games.library import (
 )
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobStatus, SolveRequest
-from repro.service.portfolio import wire_to_profiles
 from repro.service.scheduler import SolveScheduler
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
@@ -52,17 +52,16 @@ def result_dict(outcome) -> dict:
 
 
 class TestBasics:
-    def test_solve_round_trip(self):
+    def test_solve_round_trip(self, counts):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
-                outcome = await sched.solve(request_for(battle_of_the_sexes()))
-                return outcome, sched.stats()
+                return await sched.solve(request_for(battle_of_the_sexes()))
 
-        outcome, stats = run(body())
+        outcome = run(body())
         assert outcome.shards == 2
         assert outcome.batch_result().num_runs == 8
-        assert stats["counters"]["completed"] == 1
-        assert stats["counters"]["shards_executed"] == 2
+        assert counts("repro_scheduler_jobs_completed_total") == 1
+        assert counts("repro_scheduler_shards_executed_total") == 2
 
     def test_submit_before_start_raises(self):
         async def body():
@@ -136,7 +135,7 @@ class TestShardDeterminism:
 
 
 class TestCache:
-    def test_resubmission_is_served_from_cache(self):
+    def test_resubmission_is_served_from_cache(self, counts):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
                 request = request_for(battle_of_the_sexes())
@@ -144,35 +143,35 @@ class TestCache:
                 await sched.wait(first.job_id)
                 second = await sched.submit(request)
                 outcome = await sched.wait(second.job_id)
-                return first, second, outcome, sched.stats()
+                return first, second, outcome
 
-        first, second, outcome, stats = run(body())
+        first, second, outcome = run(body())
         assert not first.cache_hit
         assert second.cache_hit
         assert second.status == JobStatus.DONE
-        assert stats["counters"]["cache_hits"] == 1
-        assert stats["cache"]["hits"] == 1
+        assert counts("repro_scheduler_cache_hits_total") == 1
+        assert counts("repro_cache_hits_total") == 1
         # No recomputation: only the first job's shards executed.  The
         # cache-served repeat carries no trace (a trace describes an
         # execution), so identity is asserted modulo it.
-        assert stats["counters"]["shards_executed"] == 2
+        assert counts("repro_scheduler_shards_executed_total") == 2
         cached, computed = outcome.to_dict(), first.outcome.to_dict()
         assert "trace" not in cached
         computed.pop("trace", None)
         assert cached == computed
 
-    def test_unseeded_requests_are_not_cached(self):
+    def test_unseeded_requests_are_not_cached(self, counts):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
                 request = request_for(battle_of_the_sexes(), seed=None, num_runs=4)
                 await sched.solve(request)
                 record = await sched.submit(request)
                 await sched.wait(record.job_id)
-                return record, sched.stats()
+                return record
 
-        record, stats = run(body())
+        record = run(body())
         assert not record.cache_hit
-        assert stats["counters"]["cache_hits"] == 0
+        assert counts("repro_scheduler_cache_hits_total") == 0
 
     def test_disk_cache_survives_scheduler_restart(self, tmp_path):
         request = request_for(battle_of_the_sexes())
@@ -232,25 +231,24 @@ class TestCacheKeying:
 
 
 class TestCoalescing:
-    def test_concurrent_identical_requests_compute_once(self):
+    def test_concurrent_identical_requests_compute_once(self, counts):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
                 request = request_for(battle_of_the_sexes(), num_runs=8, seed=42)
                 duplicates = [SolveRequest.from_dict(request.to_dict()) for _ in range(5)]
-                outcomes = await asyncio.gather(
+                return await asyncio.gather(
                     *(sched.solve(r) for r in [request] + duplicates)
                 )
-                return outcomes, sched.stats()
 
-        outcomes, stats = run(body())
+        outcomes = run(body())
         first = outcomes[0].to_dict()
         assert all(outcome.to_dict() == first for outcome in outcomes)
         # One leader computed (2 shards); five duplicates coalesced onto it.
-        assert stats["counters"]["shards_executed"] == 2
-        assert stats["counters"]["coalesced"] == 5
-        assert stats["counters"]["completed"] == 1
+        assert counts("repro_scheduler_shards_executed_total") == 2
+        assert counts("repro_scheduler_jobs_coalesced_total") == 5
+        assert counts("repro_scheduler_jobs_completed_total") == 1
 
-    def test_follower_deadline_still_enforced(self):
+    def test_follower_deadline_still_enforced(self, counts):
         """A coalesced duplicate's own deadline expires it, leader or not."""
 
         async def body():
@@ -268,14 +266,14 @@ class TestCoalescing:
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(follower.job_id)
                 await sched.wait(leader.job_id)
-                return follower, sched.stats()
+                return follower
 
-        follower, stats = run(body())
+        follower = run(body())
         assert follower.status == JobStatus.EXPIRED
-        assert stats["counters"]["coalesced"] == 1
-        assert stats["counters"]["expired"] == 1
+        assert counts("repro_scheduler_jobs_coalesced_total") == 1
+        assert counts("repro_scheduler_jobs_expired_total") == 1
 
-    def test_followers_of_failed_leader_recompute_once(self):
+    def test_followers_of_failed_leader_recompute_once(self, counts):
         """When a leader expires, its followers elect one new leader, not N."""
 
         async def body():
@@ -296,20 +294,19 @@ class TestCoalescing:
                 ]
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(leader.job_id)
-                outcomes = await asyncio.gather(
+                return await asyncio.gather(
                     *(sched.wait(f.job_id) for f in followers)
                 )
-                return outcomes, sched.stats()
 
-        outcomes, stats = run(body())
+        outcomes = run(body())
         first = outcomes[0].to_dict()
         assert all(outcome.to_dict() == first for outcome in outcomes)
         # Exactly one follower recomputed (4 shards for 8 runs at size 2);
         # the rest re-coalesced onto it or hit the cache it filled.
-        assert stats["counters"]["completed"] == 1
-        assert stats["counters"]["shards_executed"] <= 8
+        assert counts("repro_scheduler_jobs_completed_total") == 1
+        assert counts("repro_scheduler_shards_executed_total") <= 8
 
-    def test_uncacheable_requests_are_never_coalesced(self):
+    def test_uncacheable_requests_are_never_coalesced(self, counts):
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
                 request = request_for(
@@ -317,11 +314,10 @@ class TestCoalescing:
                 )
                 duplicates = [SolveRequest.from_dict(request.to_dict()) for _ in range(2)]
                 await asyncio.gather(*(sched.solve(r) for r in [request] + duplicates))
-                return sched.stats()
 
-        stats = run(body())
-        assert stats["counters"]["coalesced"] == 0
-        assert stats["counters"]["completed"] == 3
+        run(body())
+        assert counts("repro_scheduler_jobs_coalesced_total") == 0
+        assert counts("repro_scheduler_jobs_completed_total") == 3
 
 
 class TestJobTableBound:
@@ -404,21 +400,20 @@ class TestPortfolioSharding:
 
         async def body():
             async with SolveScheduler(max_workers=2, shard_size=4, executor="thread") as sched:
-                outcome = await sched.solve(
+                return await sched.solve(
                     request_for(battle_of_the_sexes(), policy="portfolio",
                                 num_runs=8, seed=13)
                 )
-                return outcome, sched.stats()
 
-        outcome, stats = run(body())
+        outcome = run(body())
         assert outcome.backend == "cnash"
         assert outcome.policy == "portfolio"
         assert outcome.shards == 2  # the fallback fanned out across the pool
         assert outcome.batch_result().num_runs == 8
 
     def test_portfolio_winner_matches_in_worker_portfolio(self):
-        """Scheduler-routed portfolio selects like portfolio.solve_portfolio."""
-        from repro.service.portfolio import solve_portfolio
+        """Scheduler-routed portfolio selects like the in-worker portfolio backend."""
+        from repro.service.portfolio import execute_request
 
         request = request_for(battle_of_the_sexes(), policy="portfolio", num_runs=4, seed=2)
 
@@ -427,13 +422,13 @@ class TestPortfolioSharding:
                 return await sched.solve(request)
 
         via_scheduler = run(body())
-        in_worker = solve_portfolio(request)
+        in_worker = execute_request(request)
         assert via_scheduler.backend == in_worker.backend
         assert via_scheduler.equilibria == in_worker.equilibria
 
 
 class TestQueueSemantics:
-    def test_cancel_pending_job(self):
+    def test_cancel_pending_job(self, counts):
         async def body():
             async with SolveScheduler(max_workers=1, executor="thread") as sched:
                 # Occupy the single dispatcher with a slow job, then queue
@@ -446,12 +441,12 @@ class TestQueueSemantics:
                 with pytest.raises(RuntimeError, match="cancelled"):
                     await sched.wait(pending.job_id)
                 await sched.wait(slow.job_id)
-                return cancelled, pending, sched.stats()
+                return cancelled, pending
 
-        cancelled, pending, stats = run(body())
+        cancelled, pending = run(body())
         assert cancelled
         assert pending.status == JobStatus.CANCELLED
-        assert stats["counters"]["cancelled"] == 1
+        assert counts("repro_scheduler_jobs_cancelled_total") == 1
 
     def test_cancel_finished_job_returns_false(self):
         async def body():
@@ -462,7 +457,7 @@ class TestQueueSemantics:
 
         assert run(body()) is False
 
-    def test_expired_deadline_in_queue(self):
+    def test_expired_deadline_in_queue(self, counts):
         async def body():
             async with SolveScheduler(max_workers=1, executor="thread") as sched:
                 slow = await sched.submit(
@@ -474,11 +469,11 @@ class TestQueueSemantics:
                 with pytest.raises(RuntimeError, match="expired"):
                     await sched.wait(doomed.job_id)
                 await sched.wait(slow.job_id)
-                return sched.job(doomed.job_id), sched.stats()
+                return sched.job(doomed.job_id)
 
-        record, stats = run(body())
+        record = run(body())
         assert record.status == JobStatus.EXPIRED
-        assert stats["counters"]["expired"] == 1
+        assert counts("repro_scheduler_jobs_expired_total") == 1
 
     def test_expired_deadline_cancels_pending_shards(self):
         """Deadline expiry must not leave queued shards hogging the pool."""
@@ -527,7 +522,7 @@ class TestQueueSemantics:
 
 
 class TestEndToEnd:
-    def test_twenty_mixed_policy_jobs(self):
+    def test_twenty_mixed_policy_jobs(self, counts):
         """The ISSUE's acceptance scenario: >= 20 mixed-policy jobs.
 
         Cached resubmissions must be served without recomputation, the
@@ -554,21 +549,21 @@ class TestEndToEnd:
                 first_wave = await asyncio.gather(
                     *(sched.solve(request) for request in requests)
                 )
-                baseline_shards = sched.counters["shards_executed"]
+                baseline_shards = counts("repro_scheduler_shards_executed_total")
                 records = await asyncio.gather(
                     *(sched.submit(request) for request in resubmissions)
                 )
                 second_wave = await asyncio.gather(
                     *(sched.wait(record.job_id) for record in records)
                 )
-                return first_wave, second_wave, records, baseline_shards, sched.stats()
+                return first_wave, second_wave, records, baseline_shards
 
-        first_wave, second_wave, records, baseline_shards, stats = run(body())
+        first_wave, second_wave, records, baseline_shards = run(body())
 
         # Cache: every resubmission was a hit and executed zero new shards.
         assert all(record.cache_hit for record in records)
-        assert stats["counters"]["cache_hits"] == len(records)
-        assert stats["counters"]["shards_executed"] == baseline_shards
+        assert counts("repro_scheduler_cache_hits_total") == len(records)
+        assert counts("repro_scheduler_shards_executed_total") == baseline_shards
         for original, repeat in zip(first_wave[:6], second_wave):
             assert result_dict(repeat) == result_dict(original)
 
@@ -580,7 +575,7 @@ class TestEndToEnd:
 
         # Portfolio: a verified equilibrium for every paper benchmark game.
         for game, outcome in zip(games, first_wave[0::3]):
-            profiles = wire_to_profiles(outcome.equilibria)
+            profiles = profiles_from_wire(outcome.equilibria)
             assert profiles, f"no equilibrium for {game.name}"
             epsilon = 1e-6 if outcome.backend.startswith("exact/") else 2.0
             assert any(
@@ -588,8 +583,8 @@ class TestEndToEnd:
                 for profile in profiles
             ), f"no verified equilibrium for {game.name}"
 
-        assert stats["counters"]["completed"] == len(requests)
-        assert stats["counters"]["failed"] == 0
+        assert counts("repro_scheduler_jobs_completed_total") == len(requests)
+        assert counts("repro_scheduler_jobs_failed_total") == 0
 
 
 class TestProcessPool:
@@ -616,3 +611,16 @@ class TestProcessPool:
         thread_outcome = run(solve_with("thread"))
         process_outcome = run(solve_with("process"))
         assert thread_outcome.batch["runs"] == process_outcome.batch["runs"]
+
+    def test_per_shard_workers_ship_their_metrics_home(self, counts):
+        """Each shard's worker process returns its kernel launch to the parent."""
+        request = request_for(bird_game(), num_runs=128, seed=4)
+
+        async def body():
+            async with SolveScheduler(max_workers=2, executor="process") as sched:
+                return await sched.solve(request)
+
+        outcome = run(body())
+        assert outcome.shards == 2  # 128 runs at the default 64-run shards
+        assert counts("repro_scheduler_shards_executed_total") == 2
+        assert counts("repro_kernel_launches_total") == 2

@@ -14,6 +14,7 @@ from repro.service.client import InProcessClient, ServiceClient, ServiceError
 from repro.service.jobs import SolveRequest
 from repro.service.scheduler import SolveScheduler
 from repro.service.server import NashServer
+from repro.telemetry import family_total
 
 FAST = CNashConfig(num_intervals=4, num_iterations=250)
 
@@ -50,15 +51,16 @@ class TestProtocol:
 
         assert asyncio.run(_with_server(body))["pong"] is True
 
-    def test_solve_round_trip(self):
+    def test_solve_round_trip(self, counts):
         async def body(server, client):
             outcome = await client.solve(request_for(battle_of_the_sexes()))
-            stats = await client.stats()
-            return outcome, stats
+            return outcome, await client.telemetry()
 
-        outcome, stats = asyncio.run(_with_server(body))
+        outcome, telemetry = asyncio.run(_with_server(body))
         assert outcome.batch_result().num_runs == 6
-        assert stats["counters"]["completed"] == 1
+        # The telemetry op serves the same registry the fixture reads.
+        completed = family_total(telemetry, "repro_scheduler_jobs_completed_total")
+        assert completed == counts("repro_scheduler_jobs_completed_total") == 1
 
     def test_submit_status_result(self):
         async def body(server, client):
@@ -72,21 +74,20 @@ class TestProtocol:
         assert status["status"] == "done"
         assert outcome.num_equilibria >= 0
 
-    def test_cached_resubmission_over_the_wire(self):
+    def test_cached_resubmission_over_the_wire(self, counts):
         async def body(server, client):
             request = request_for(battle_of_the_sexes())
             first = await client.solve(request)
             second = await client.solve(request)
-            stats = await client.stats()
-            return first, second, stats
+            return first, second
 
-        first, second, stats = asyncio.run(_with_server(body))
+        first, second = asyncio.run(_with_server(body))
         # The cache-served repeat carries no trace; compare modulo it.
         first_dict, second_dict = first.to_dict(), second.to_dict()
         first_dict.pop("trace", None)
         assert "trace" not in second_dict
         assert second_dict == first_dict
-        assert stats["cache"]["hits"] == 1
+        assert counts("repro_cache_hits_total") == 1
 
     def test_unknown_op_is_an_error(self):
         async def body(server, client):
@@ -152,7 +153,7 @@ class TestProtocol:
 
 
 class TestInProcessClient:
-    def test_blocking_api(self):
+    def test_blocking_api(self, counts):
         with InProcessClient(max_workers=2, shard_size=4, executor="thread") as client:
             request = request_for(battle_of_the_sexes())
             outcome = client.solve(request)
@@ -160,9 +161,9 @@ class TestInProcessClient:
             job_id = client.submit(request_for(stag_hunt(), seed=1))
             assert client.result(job_id, timeout=60).policy == "cnash"
             assert client.status(job_id)["status"] == "done"
-            assert client.stats()["counters"]["completed"] == 2
+            assert counts("repro_scheduler_jobs_completed_total") == 2
 
-    def test_cancel_from_caller_thread(self):
+    def test_cancel_from_caller_thread(self, counts):
         """cancel() runs on the scheduler's loop thread (asyncio.Event safety)."""
         with InProcessClient(max_workers=1, shard_size=2, executor="thread") as client:
             blocker = client.submit(
@@ -177,7 +178,7 @@ class TestInProcessClient:
                 with pytest.raises(RuntimeError, match="cancelled"):
                     client.result(pending, timeout=30)
             client.result(blocker, timeout=60)
-            assert client.stats()["counters"]["submitted"] == 2
+            assert counts("repro_scheduler_jobs_submitted_total") == 2
 
     def test_close_is_idempotent(self):
         client = InProcessClient(max_workers=1, executor="thread")

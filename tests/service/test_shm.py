@@ -67,7 +67,7 @@ class TestRoundTrip:
 
 
 class TestSchedulerIntegration:
-    def test_process_batch_ships_dense_games_via_shm(self):
+    def test_process_batch_ships_dense_games_via_shm(self, counts):
         # Dense 64x64 games on the process executor: the coalesced batch
         # must ship payoffs through shared memory (counter observable)
         # and still produce bit-identical results to per-job dispatch.
@@ -88,13 +88,12 @@ class TestSchedulerIntegration:
                 max_batch_linger_ms=200.0,
             ) as sched:
                 records = [await sched.submit(request) for request in requests]
-                outcomes = [await sched.wait(record.job_id) for record in records]
-                return outcomes, sched.stats()
+                return [await sched.wait(record.job_id) for record in records]
 
-        batched, stats = asyncio.run(solve_with("process", 16))
-        solo, _ = asyncio.run(solve_with("thread", 1))
-        assert stats["counters"]["shm_games_shared"] >= 1
-        assert stats["batching"]["batches_dispatched"] >= 1
+        batched = asyncio.run(solve_with("process", 16))
+        solo = asyncio.run(solve_with("thread", 1))
+        assert counts("repro_scheduler_shm_games_shared_total") >= 1
+        assert counts("repro_scheduler_batches_dispatched_total") >= 1
 
         def canon(outcome):
             # Strip measured timings (wall clocks, trace): they describe
@@ -112,7 +111,7 @@ class TestSchedulerIntegration:
 
         assert [canon(o) for o in batched] == [canon(o) for o in solo]
 
-    def test_spec_requests_never_use_shm(self):
+    def test_spec_requests_never_use_shm(self, counts):
         # Spec wire forms are already ~100 bytes; sharing would only add
         # segment churn.
         config = CNashConfig(num_intervals=4, num_iterations=250)
@@ -138,7 +137,7 @@ class TestSchedulerIntegration:
                 records = [await sched.submit(request) for request in requests]
                 for record in records:
                     await sched.wait(record.job_id)
-                return sched.stats()
 
-        stats = asyncio.run(body())
-        assert stats["counters"]["shm_games_shared"] == 0
+        asyncio.run(body())
+        assert counts("repro_scheduler_batches_dispatched_total") >= 1
+        assert counts("repro_scheduler_shm_games_shared_total") == 0

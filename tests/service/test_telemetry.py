@@ -1,10 +1,10 @@
 """End-to-end telemetry tests: scheduler metrics, traces, worker deltas.
 
-Covers the observability contract across the stack: the scheduler's
-registry-backed counters stay in lockstep with the deprecated ``stats()``
-dict, per-job trace timelines decompose the end-to-end latency, worker
-*processes* ship metric deltas home on batch payloads, and the
-``telemetry`` client op agrees with the Prometheus text exposition.
+Covers the observability contract across the stack: the registry is the
+only counters surface (``api.sweep`` reads its cache hits there), per-job
+trace timelines decompose the end-to-end latency, worker *processes*
+ship metric deltas home on batch payloads, and the ``telemetry`` client
+op agrees with the Prometheus text exposition.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro import api
+from repro.backends import SolveSpec
 from repro.core.config import CNashConfig
 from repro.games.library import battle_of_the_sexes
 from repro.games.spec import GameSpec
@@ -47,25 +49,30 @@ def _sweep(client, requests):
 
 
 # ----------------------------------------------------------------------
-# Scheduler metrics and the stats() aliases
+# Scheduler metrics
 # ----------------------------------------------------------------------
-def test_registry_counters_match_deprecated_stats_dict():
-    with temporary_registry():
-        with InProcessClient(executor="thread", max_workers=2, shard_size=8) as client:
-            _sweep(client, _spec_requests(4))
-            stats = client.stats()
-            telemetry = client.telemetry()
-        families = telemetry["families"]
-        pairs = {
-            "submitted": "repro_scheduler_jobs_submitted_total",
-            "completed": "repro_scheduler_jobs_completed_total",
-            "batches_dispatched": "repro_scheduler_batches_dispatched_total",
-            "batched_jobs": "repro_scheduler_batched_jobs_total",
-        }
-        for old_key, family in pairs.items():
-            value = families[family]["samples"][0]["value"]
-            assert value == stats["counters"][old_key], (old_key, family)
-        assert families["repro_scheduler_jobs_submitted_total"]["samples"][0]["value"] == 4
+class _StatslessClient:
+    """Forwards to an in-process client; touching ``stats`` fails the test."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        assert name != "stats", "the registry is the only stats surface"
+        return getattr(self.inner, name)
+
+
+def test_repeated_sweep_reads_its_cache_hits_from_the_registry(counts):
+    games = [GameSpec.generator("random", num_row_actions=4, seed=i) for i in range(5)]
+    spec = SolveSpec(num_runs=4, seed=3, options={"config": FAST})
+    with InProcessClient(executor="thread", max_workers=2, shard_size=8) as inner:
+        client = _StatslessClient(inner)
+        first = api.sweep(games, spec=spec, client=client)
+        hits = counts("repro_scheduler_cache_hits_total")
+        repeat = api.sweep(games, spec=spec, client=client)
+    assert first.cache_hits == 0
+    assert repeat.cache_hits == repeat.num_jobs == len(games)
+    assert counts("repro_scheduler_cache_hits_total") - hits == repeat.num_jobs
 
 
 def test_telemetry_snapshot_agrees_with_prometheus_rendering():

@@ -18,8 +18,8 @@ from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     registry,
+    family_total,
     render_prometheus,
-    set_enabled,
     temporary_registry,
 )
 
@@ -220,22 +220,18 @@ def test_forked_child_exports_only_its_own_work():
 
 
 # ----------------------------------------------------------------------
-# Enable/disable and the global registry
+# Reading snapshots and the global registry
 # ----------------------------------------------------------------------
-def test_set_enabled_false_makes_mutators_no_ops():
+def test_family_total_sums_matching_label_children():
     reg = MetricsRegistry()
-    counter = reg.counter("repro_test_disabled_total")
-    hist = reg.histogram("repro_test_disabled_seconds", boundaries=(1.0,))
-    set_enabled(False)
-    try:
-        counter.inc(10)
-        hist.observe(0.5)
-    finally:
-        set_enabled(True)
-    assert counter.value == 0
-    assert hist.count == 0
-    counter.inc()
-    assert counter.value == 1
+    retries = reg.counter("repro_test_retries_total")
+    retries.labels(fault_class="transient").inc(2)
+    retries.labels(fault_class="worker_death").inc()
+    snapshot = reg.snapshot()
+    assert family_total(snapshot, "repro_test_retries_total") == 3
+    assert family_total(snapshot, "repro_test_retries_total", fault_class="transient") == 2
+    assert family_total(snapshot, "repro_test_retries_total", fault_class="solver_miss") == 0
+    assert family_total(snapshot, "repro_test_never_declared_total") == 0
 
 
 def test_temporary_registry_isolates_and_restores():

@@ -9,7 +9,6 @@ import pytest
 from repro.telemetry import (
     Timeline,
     phase_durations,
-    set_enabled,
     validate_phases,
 )
 
@@ -108,20 +107,6 @@ def test_record_keeps_meta():
     (phase,) = timeline.phases
     assert phase["end_ms"] == pytest.approx(2.0)
     assert phase["meta"] == {"fused_games": 4}
-
-
-def test_disabled_timeline_records_nothing():
-    set_enabled(False)
-    try:
-        timeline = Timeline()
-        with timeline.span("a"):
-            pass
-        timeline.cut("b")
-        timeline.record("c", timeline.origin_ns, timeline.origin_ns + 1)
-        timeline.splice([{"name": "d", "start_ms": 0.0, "end_ms": 1.0}], 0.0)
-    finally:
-        set_enabled(True)
-    assert timeline.phases == []
 
 
 def test_span_ids_are_unique():
