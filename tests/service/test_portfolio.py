@@ -160,6 +160,16 @@ class TestExactBackend:
         for profile in profiles_from_wire(outcome.equilibria):
             assert is_epsilon_equilibrium(game, profile.p, profile.q, 1e-6)
 
+    def test_payload_equilibria_verify(self):
+        # The worker entry point ships profiles through the wire dict; they
+        # must still be equilibria once decoded on the other side.
+        game = battle_of_the_sexes()
+        payload = execute_request_payload(request_for(game, policy="exact").to_dict())
+        outcome = SolveOutcome.from_dict(payload)
+        assert outcome.num_equilibria == 3
+        for profile in profiles_from_wire(outcome.equilibria):
+            assert is_epsilon_equilibrium(game, profile.p, profile.q, 1e-6)
+
 
 class TestCnashBackend:
     def test_outcome_carries_the_batch(self):
