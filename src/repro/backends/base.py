@@ -60,10 +60,7 @@ def observe_backend_latency(backend: str, seconds: float) -> None:
 
 def profiles_to_wire(profiles: List[StrategyProfile]) -> List[Dict[str, List[float]]]:
     """Strategy profiles as JSON-ready ``{"p": [...], "q": [...]}`` dicts."""
-    return [
-        {"p": [float(x) for x in profile.p], "q": [float(x) for x in profile.q]}
-        for profile in profiles
-    ]
+    return [{"p": profile.p.tolist(), "q": profile.q.tolist()} for profile in profiles]
 
 
 def profiles_from_wire(entries: List[Dict[str, List[float]]]) -> List[StrategyProfile]:

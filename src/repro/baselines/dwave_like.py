@@ -251,10 +251,7 @@ class DWaveLikeSolver:
     # ------------------------------------------------------------------
     def distinct_solutions(self, batch: BaselineBatchResult, atol: float = 1e-3) -> EquilibriumSet:
         """De-duplicated equilibria found across a batch of samples."""
-        found = EquilibriumSet(game=self.game, atol=atol)
-        for profile in batch.successful_profiles:
-            found.add(profile)
-        return found
+        return EquilibriumSet.from_profiles(self.game, batch.successful_profiles, atol=atol)
 
     def time_to_solution_s(self, batch: BaselineBatchResult) -> Optional[float]:
         """Expected machine time until the first successful sample.

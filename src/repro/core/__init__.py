@@ -13,7 +13,6 @@ from repro.core.max_qubo import (
     GridOptimum,
     HardwareEvaluator,
     IdealEvaluator,
-    IncrementalIdealState,
     ObjectiveEvaluator,
     composition_grid,
     enumerate_grid_optimum,
@@ -52,7 +51,6 @@ __all__ = [
     "max_qubo_breakdown",
     "ObjectiveEvaluator",
     "IdealEvaluator",
-    "IncrementalIdealState",
     "HardwareEvaluator",
     "GridOptimum",
     "composition_grid",

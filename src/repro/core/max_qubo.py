@@ -100,7 +100,7 @@ class ObjectiveEvaluator(ABC):
         """
         return False
 
-    def incremental_state(self, states: BatchedStrategyState) -> "IncrementalIdealState":
+    def incremental_state(self, states: BatchedStrategyState) -> "StackedIncrementalState":
         """Build the delta-evaluation cache for a stacked batch of states."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support incremental evaluation"
@@ -144,11 +144,17 @@ class IdealEvaluator(ObjectiveEvaluator):
     def supports_incremental(self) -> bool:
         return True
 
-    def incremental_state(self, states: BatchedStrategyState) -> "IncrementalIdealState":
-        return IncrementalIdealState(self._game, states, combined=self._combined)
+    def incremental_state(self, states: BatchedStrategyState) -> "StackedIncrementalState":
+        """The delta-evaluation cache of a one-game stack (every chain plays this game)."""
+        return StackedIncrementalState(
+            [self._game],
+            np.zeros(states.batch_size, dtype=np.int64),
+            states,
+            combined=[self._combined],
+        )
 
 
-class IncrementalIdealState:
+class StackedIncrementalState:
     """Per-chain action-value caches for O(n+m) delta evaluation.
 
     The MAX-QUBO objective of chain ``b`` is
@@ -172,137 +178,22 @@ class IncrementalIdealState:
     symmetric through ``col_values``/``w``.  :meth:`resync` recomputes
     everything from the counts with the same full-product expressions as
     :meth:`IdealEvaluator.evaluate_batch`, bounding float drift on long
-    runs (call it every K iterations).
+    runs (call it every K iterations).  With payoffs and ``1/I`` exactly
+    representable (integer payoffs, power-of-two ``I``) every update is
+    exact dyadic arithmetic, so the delta path is bit-identical to full
+    evaluation; otherwise it agrees to float rounding.
 
-    With payoffs and ``1/I`` exactly representable (integer payoffs,
-    power-of-two ``I``) every update is exact dyadic arithmetic, so the
-    delta path is bit-identical to full evaluation; otherwise it agrees
-    to float rounding and the periodic resync keeps the drift bounded.
-    """
-
-    def __init__(
-        self,
-        game: BimatrixGame,
-        states: BatchedStrategyState,
-        combined: Optional[np.ndarray] = None,
-    ) -> None:
-        if combined is None:
-            combined = game.payoff_row + game.payoff_col
-        self._row_payoff = np.ascontiguousarray(game.payoff_row)
-        #: Row ``k`` is ``M[:, k]`` — the row-values delta of a column move.
-        self._row_payoff_cols = np.ascontiguousarray(game.payoff_row.T)
-        #: Row ``j`` is ``N[j, :]`` — the col-values delta of a row move.
-        self._col_payoff_rows = np.ascontiguousarray(game.payoff_col)
-        self._combined_rows = np.ascontiguousarray(combined)
-        self._combined_cols = np.ascontiguousarray(combined.T)
-        self._inv_intervals = 1.0 / states.num_intervals
-        self._staged_moves: Optional[TransferMoveBatch] = None
-        self.resync(states)
-
-    def resync(self, states: BatchedStrategyState) -> np.ndarray:
-        """Rebuild every cache from ``states`` via full products.
-
-        Returns the refreshed energies; uses the exact expressions of
-        :meth:`IdealEvaluator.evaluate_batch` so a resynced cache and a
-        full evaluation agree bit-for-bit.
-        """
-        p = states.p
-        q = states.q
-        self.row_values = q @ self._row_payoff.T
-        self.col_values = p @ self._col_payoff_rows
-        self.bilinear = np.einsum("bi,ij,bj->b", p, self._combined_rows, q)
-        self.u = p @ self._combined_rows
-        self.w = q @ self._combined_cols
-        self.row_max = self.row_values.max(axis=1)
-        self.col_max = self.col_values.max(axis=1)
-        self._staged_moves = None
-        return self.energies()
-
-    def energies(self) -> np.ndarray:
-        """Current per-chain objectives from the cached components."""
-        return self.row_max + self.col_max - self.bilinear
-
-    def candidate_energies(self, moves: TransferMoveBatch) -> np.ndarray:
-        """Objective of every chain's candidate state, via rank-1 updates.
-
-        Stages the per-move cache deltas for a following :meth:`commit`;
-        chains without a move (an action-starved player) keep their
-        current objective.
-        """
-        inv = self._inv_intervals
-        cand_row_max = self.row_max.copy()
-        cand_col_max = self.col_max.copy()
-        cand_bilinear = self.bilinear.copy()
-        rows, source, target = moves.q_rows, moves.q_source, moves.q_target
-        if rows.size:
-            self._d_row = (self._row_payoff_cols[target] - self._row_payoff_cols[source]) * inv
-            cand_row_max[rows] = (self.row_values[rows] + self._d_row).max(axis=1)
-            cand_bilinear[rows] += (self.u[rows, target] - self.u[rows, source]) * inv
-        rows, source, target = moves.p_rows, moves.p_source, moves.p_target
-        if rows.size:
-            self._d_col = (self._col_payoff_rows[target] - self._col_payoff_rows[source]) * inv
-            cand_col_max[rows] = (self.col_values[rows] + self._d_col).max(axis=1)
-            cand_bilinear[rows] += (self.w[rows, target] - self.w[rows, source]) * inv
-        self._staged_moves = moves
-        self._cand_row_max = cand_row_max
-        self._cand_col_max = cand_col_max
-        self._cand_bilinear = cand_bilinear
-        return cand_row_max + cand_col_max - cand_bilinear
-
-    def commit(self, accept: np.ndarray) -> None:
-        """Fold the staged candidate caches into the accepted chains.
-
-        The helper-product deltas (``w`` for column moves, ``u`` for row
-        moves) are only needed for chains that actually move, so they are
-        computed here, on the accepted subset, rather than for every
-        proposal.
-        """
-        moves = self._staged_moves
-        if moves is None:
-            raise RuntimeError("commit() without a staged candidate_energies() call")
-        inv = self._inv_intervals
-        rows = moves.q_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.q_source[keep]
-                target = moves.q_target[keep]
-                self.row_values[accepted_rows] += self._d_row[keep]
-                self.w[accepted_rows] += (
-                    self._combined_cols[target] - self._combined_cols[source]
-                ) * inv
-        rows = moves.p_rows
-        if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.p_source[keep]
-                target = moves.p_target[keep]
-                self.col_values[accepted_rows] += self._d_col[keep]
-                self.u[accepted_rows] += (
-                    self._combined_rows[target] - self._combined_rows[source]
-                ) * inv
-        np.copyto(self.row_max, self._cand_row_max, where=accept)
-        np.copyto(self.col_max, self._cand_col_max, where=accept)
-        np.copyto(self.bilinear, self._cand_bilinear, where=accept)
-        self._staged_moves = None
-
-
-class StackedIncrementalState:
-    """Delta-evaluation caches for chains of *several* same-shape games.
-
-    The batched dispatch path fuses the SA chains of many independent
-    games (one scheduler job each) into a single kernel launch, so the
+    The chains may belong to *several* same-shape games: the batched
+    dispatch path fuses the SA chains of many independent games (one
+    scheduler job each) into a single kernel launch, so the
     per-iteration Python overhead of the fused loop is paid once per
-    *batch* instead of once per job.  This class is the stacked
-    counterpart of :class:`IncrementalIdealState`: chain ``b`` belongs to
-    game ``chain_games[b]`` and every payoff gather indexes a ``(K, n,
-    m)``-shaped stack with that per-chain game index.
+    batch instead of once per job.  Chain ``b`` belongs to game
+    ``chain_games[b]`` and every payoff gather indexes a ``(K, n, m)``
+    stack with that per-chain game index; a solo launch is a one-game
+    stack (:meth:`IdealEvaluator.incremental_state`).
 
-    Bit-identity contract: a chain of this stacked state advances
-    *flip-for-flip* identically to the same chain run solo through
-    :class:`IncrementalIdealState`.
+    Bit-identity contract: a chain advances *flip-for-flip* identically
+    whichever games share its stack.
 
     * the per-iteration math (:meth:`candidate_energies`,
       :meth:`commit`) is purely per-chain — elementwise arithmetic,
@@ -311,9 +202,9 @@ class StackedIncrementalState:
     * the summation-order-sensitive reductions (the matmuls/einsum of
       :meth:`resync`) are computed per contiguous game block over the
       exact expressions (and the exact array layouts — a leading-axis
-      slice of a C-contiguous stack is itself C-contiguous) that the
-      solo cache uses, so resynced caches match the solo ones
-      bit-for-bit as well.
+      slice of a C-contiguous stack is itself C-contiguous) of
+      :meth:`IdealEvaluator.evaluate_batch`, so resynced caches do not
+      depend on the other games either.
 
     ``chain_games`` must be sorted (chains of one game form one
     contiguous block); the launch builder guarantees this by
@@ -341,8 +232,8 @@ class StackedIncrementalState:
         # variants are built as one vectorised transpose-copy of the
         # stack rather than per-game copies.  All four stay C-contiguous:
         # the per-iteration gathers want contiguous rows, and layout
-        # selects the BLAS path in resync, which must match the solo
-        # cache exactly.
+        # selects the BLAS path in resync, which must not depend on the
+        # number of stacked games.
         self._row_payoff = np.stack([game.payoff_row for game in games])
         self._row_payoff_cols = np.ascontiguousarray(
             self._row_payoff.transpose(0, 2, 1)
@@ -385,7 +276,7 @@ class StackedIncrementalState:
         self.resync(states)
 
     def resync(self, states: BatchedStrategyState) -> np.ndarray:
-        """Rebuild every cache per game block via the solo full products."""
+        """Rebuild every cache per game block via full products; returns the energies."""
         p = states.p
         q = states.q
         batch_size = p.shape[0]
@@ -399,8 +290,8 @@ class StackedIncrementalState:
         for index, block in enumerate(self._blocks):
             if block.start == block.stop:
                 continue
-            # The exact expressions (and layouts) of
-            # IncrementalIdealState.resync, applied to this game's block.
+            # The expressions (and layouts) of IdealEvaluator.evaluate_batch,
+            # applied to this game's block.
             self.row_values[block] = q[block] @ self._row_payoff[index].T
             self.col_values[block] = p[block] @ self._col_payoff_rows[index]
             self.bilinear[block] = np.einsum(
@@ -490,8 +381,7 @@ class StackedIncrementalState:
         """Build the stacked cache from per-game :class:`IdealEvaluator` objects.
 
         Reuses each evaluator's precomputed combined payoff so the
-        bilinear matrices are the *same floats* the solo incremental
-        cache would use.
+        bilinear matrices are the *same floats* a solo launch uses.
         """
         return cls(
             [evaluator.game for evaluator in evaluators],

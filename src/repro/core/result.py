@@ -64,8 +64,8 @@ class SolverRunResult:
     def to_dict(self) -> dict:
         """Plain-JSON representation (inverse of :meth:`from_dict`)."""
         return {
-            "p_counts": [int(c) for c in self.best_state.p_counts],
-            "q_counts": [int(c) for c in self.best_state.q_counts],
+            "p_counts": self.best_state.p_counts.tolist(),
+            "q_counts": self.best_state.q_counts.tolist(),
             "num_intervals": int(self.best_state.num_intervals),
             "best_objective": float(self.best_objective),
             "is_equilibrium": bool(self.is_equilibrium),

@@ -159,6 +159,7 @@ class CNashSolver:
         """Run one SA run and classify its best strategy pair."""
         run = run_two_phase_sa(self.evaluator, self.config, seed=seed, initial_state=initial_state)
         return self._classify_run(
+            epsilon=self.epsilon,
             best_state=run.best_state,
             best_objective=run.best_objective,
             iterations=run.result.num_iterations,
@@ -240,10 +241,12 @@ class CNashSolver:
         )
         _record_kernel_launch(batch, num_runs, time.perf_counter() - launch_start)
         acceptance_rates = batch.acceptance_rates
+        epsilon = self.epsilon
         runs: List[SolverRunResult] = []
         for index in range(num_runs):
             runs.append(
                 self._classify_run(
+                    epsilon=epsilon,
                     best_state=batch.best_states.state(index),
                     best_objective=float(batch.best_energies[index]),
                     iterations=batch.num_iterations,
@@ -256,6 +259,7 @@ class CNashSolver:
 
     def _classify_run(
         self,
+        epsilon: float,
         best_state: QuantizedStrategyPair,
         best_objective: float,
         iterations: int,
@@ -268,11 +272,12 @@ class CNashSolver:
         The hardware may report a noisy objective, but whether the
         returned strategy pair is an equilibrium is a property of the
         game, so classification always uses the exact payoffs.
+        ``epsilon`` is :attr:`epsilon`, which batch callers compute once.
         """
         classification = classify_profile(
             self.game,
             best_state.to_profile(),
-            epsilon=self.epsilon,
+            epsilon=epsilon,
             purity_atol=self._purity_atol,
         )
         return SolverRunResult(
@@ -373,10 +378,12 @@ def solve_shards_fused(
     results: List[SolverBatchResult] = []
     offset = 0
     for solver, (game, num_runs, _) in zip(solvers, shards):
+        epsilon = solver.epsilon
         runs: List[SolverRunResult] = []
         for index in range(offset, offset + num_runs):
             runs.append(
                 solver._classify_run(
+                    epsilon=epsilon,
                     best_state=batch.best_states.state(index),
                     best_objective=float(batch.best_energies[index]),
                     iterations=batch.num_iterations,

@@ -103,6 +103,23 @@ class QuantizedStrategyPair:
         return cls(quantizer.to_counts(p), quantizer.to_counts(q), num_intervals)
 
 
+def _nth_positive(
+    positive: np.ndarray, num_positive: np.ndarray, pick: np.ndarray
+) -> np.ndarray:
+    """Column of the ``pick[r]``-th ``True`` of every row ``r`` of ``positive``.
+
+    ``num_positive`` holds the per-row ``True`` counts and every
+    ``pick[r]`` must lie in ``[0, num_positive[r])``.  Reads the answer
+    out of the flat ``True`` positions (row-major, so ascending within a
+    row) instead of a per-row running count over every cell: the only
+    cumsum runs over the rows.
+    """
+    num_rows, num_cols = positive.shape
+    flat = np.flatnonzero(positive)
+    first = np.cumsum(num_positive) - num_positive
+    return flat[first + pick] - np.arange(0, num_rows * num_cols, num_cols)
+
+
 def _batched_transfer(
     counts: np.ndarray, move_mask: np.ndarray, rng: np.random.Generator
 ) -> None:
@@ -126,7 +143,7 @@ def _batched_transfer(
     pick = np.minimum(
         (rng.random(batch_size) * num_positive).astype(int), num_positive - 1
     )
-    donor = np.argmax(np.cumsum(positive, axis=1) > pick[:, None], axis=1)
+    donor = _nth_positive(positive, num_positive, pick)
     receiver = rng.integers(0, num_actions - 1, size=batch_size)
     receiver += receiver >= donor
     rows = np.flatnonzero(move_mask)
@@ -199,7 +216,7 @@ def _pick_transfer(
     pick = np.minimum(
         (u_donor[rows] * num_positive).astype(np.int64), num_positive - 1
     )
-    source = np.argmax(np.cumsum(positive, axis=1) > pick[:, None], axis=1)
+    source = _nth_positive(positive, num_positive, pick)
     target = (u_receiver[rows] * (num_actions - 1)).astype(np.int64)
     np.minimum(target, num_actions - 2, out=target)
     target += target >= source

@@ -126,7 +126,49 @@ class BatchTwoPhaseAnnealingProblem(BatchAnnealingProblem[BatchedStrategyState])
         return states.state(index)
 
 
-class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
+class _CountBuffers:
+    """Snapshot and export methods over the ``(B, n)`` / ``(B, m)`` count buffers.
+
+    Shared by both fused problems, which keep their chains' interval
+    counts in ``_p_counts`` / ``_q_counts`` (viewed by ``_state_view``).
+    """
+
+    num_intervals: int
+    _p_counts: np.ndarray
+    _q_counts: np.ndarray
+    _state_view: BatchedStrategyState
+
+    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._p_counts.copy(), self._q_counts.copy()
+
+    def update_snapshot(
+        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
+    ) -> None:
+        # Only the improved rows change, so copy just those.
+        rows = np.flatnonzero(mask)
+        snapshot_p, snapshot_q = snapshot
+        snapshot_p[rows] = self._p_counts[rows]
+        snapshot_q[rows] = self._q_counts[rows]
+
+    def export_snapshot(
+        self, snapshot: Tuple[np.ndarray, np.ndarray]
+    ) -> BatchedStrategyState:
+        snapshot_p, snapshot_q = snapshot
+        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
+
+    def export_states(self) -> BatchedStrategyState:
+        return BatchedStrategyState(
+            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
+        )
+
+    def current_states(self) -> BatchedStrategyState:
+        return self._state_view
+
+    def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
+        return states.state(index)
+
+
+class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState]):
     """MAX-QUBO minimisation on the fused in-place kernel.
 
     The chains' interval counts live in problem-owned ``(B, n)`` /
@@ -136,7 +178,7 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
     energies either
 
     * ``evaluation="delta"`` — through the evaluator's
-      :class:`~repro.core.max_qubo.IncrementalIdealState` rank-1 cache,
+      :class:`~repro.core.max_qubo.StackedIncrementalState` rank-1 cache,
       ``O(B·(n+m))`` per iteration, periodically resynced; or
     * ``evaluation="full"`` — through ``evaluator.evaluate_batch`` on a
       double-buffered candidate state, ``O(B·n·m)`` per iteration.
@@ -241,35 +283,8 @@ class FusedTwoPhaseProblem(FusedBatchProblem[BatchedStrategyState]):
             return None
         return self._incremental.resync(self._state_view)
 
-    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._p_counts.copy(), self._q_counts.copy()
 
-    def update_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
-    ) -> None:
-        snapshot_p, snapshot_q = snapshot
-        np.copyto(snapshot_p, self._p_counts, where=mask[:, None])
-        np.copyto(snapshot_q, self._q_counts, where=mask[:, None])
-
-    def export_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray]
-    ) -> BatchedStrategyState:
-        snapshot_p, snapshot_q = snapshot
-        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
-
-    def export_states(self) -> BatchedStrategyState:
-        return BatchedStrategyState(
-            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
-        )
-
-    def current_states(self) -> BatchedStrategyState:
-        return self._state_view
-
-    def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
-        return states.state(index)
-
-
-class MultiGameFusedProblem(MultiFusedBatchProblem[BatchedStrategyState]):
+class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrategyState]):
     """Chains of several same-shape games fused into one kernel launch.
 
     One launch per game: launch ``j``'s chains anneal against
@@ -386,33 +401,6 @@ class MultiGameFusedProblem(MultiFusedBatchProblem[BatchedStrategyState]):
 
     def resync(self) -> Optional[np.ndarray]:
         return self._incremental.resync(self._state_view)
-
-    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._p_counts.copy(), self._q_counts.copy()
-
-    def update_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
-    ) -> None:
-        snapshot_p, snapshot_q = snapshot
-        np.copyto(snapshot_p, self._p_counts, where=mask[:, None])
-        np.copyto(snapshot_q, self._q_counts, where=mask[:, None])
-
-    def export_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray]
-    ) -> BatchedStrategyState:
-        snapshot_p, snapshot_q = snapshot
-        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
-
-    def export_states(self) -> BatchedStrategyState:
-        return BatchedStrategyState(
-            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
-        )
-
-    def current_states(self) -> BatchedStrategyState:
-        return self._state_view
-
-    def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
-        return states.state(index)
 
 
 def fused_multi_supported(config: CNashConfig, shape: Tuple[int, int]) -> bool:

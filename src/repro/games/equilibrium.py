@@ -13,12 +13,15 @@ by the analysis layer to match solver output against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.games.bimatrix import BimatrixGame
 from repro.utils.validation import ensure_probability_vector
+
+#: Relative tolerance of profile closeness (``np.allclose``'s default).
+_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,14 @@ class StrategyProfile:
         The test is ``np.allclose``'s exact criterion
         (``|a - b| <= atol + rtol * |b|`` with the default
         ``rtol=1e-5``), inlined because probability vectors are always
-        finite and this runs per pair in equilibrium de-duplication.
+        finite.  :class:`EquilibriumSet` applies the same criterion to
+        all of its kept profiles at once.
         """
         if self.p.shape != other.p.shape or self.q.shape != other.q.shape:
             return False
-        rtol = 1e-5
         return bool(
-            np.all(np.abs(self.p - other.p) <= atol + rtol * np.abs(other.p))
-            and np.all(np.abs(self.q - other.q) <= atol + rtol * np.abs(other.q))
+            np.all(np.abs(self.p - other.p) <= atol + _RTOL * np.abs(other.p))
+            and np.all(np.abs(self.q - other.q) <= atol + _RTOL * np.abs(other.q))
         )
 
     def as_tuple(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -180,13 +183,56 @@ def classify_profile(
     return "pure" if profile.is_pure(purity_atol) else "mixed"
 
 
+class _ShapeStacks:
+    """Profiles stacked per shape as rows of ``concat(p, q)``.
+
+    A scratch index over :attr:`EquilibriumSet.profiles`: built at the
+    start of one call and dropped at its end, so edits made directly to
+    the list are always seen.  Within a shape, rows keep insertion order.
+    """
+
+    def __init__(self, profiles: Iterable[StrategyProfile]) -> None:
+        #: (p shape, q shape) -> [rows (capacity, n + m), size, positions]
+        self._stacks: Dict[tuple, list] = {}
+        for position, profile in enumerate(profiles):
+            self.append(position, profile)
+
+    def append(self, position: int, profile: StrategyProfile) -> None:
+        """Stack ``profile``, which sits at ``position`` in the list of record."""
+        row = np.concatenate((profile.p, profile.q))
+        stack = self._stacks.setdefault(
+            (profile.p.shape, profile.q.shape), [np.empty((4, row.size)), 0, []]
+        )
+        rows, size, positions = stack
+        if size == rows.shape[0]:
+            rows = stack[0] = np.concatenate((rows, np.empty_like(rows)))
+        rows[size] = row
+        stack[1] = size + 1
+        positions.append(position)
+
+    def first_match(self, profile: StrategyProfile, atol: float) -> Optional[int]:
+        """Position of the first stacked profile that is ``close_to`` ``profile``."""
+        stack = self._stacks.get((profile.p.shape, profile.q.shape))
+        if stack is None:
+            return None
+        rows, size, positions = stack
+        new = np.concatenate((profile.p, profile.q))
+        close = (np.abs(rows[:size] - new) <= atol + _RTOL * np.abs(new)).all(axis=1)
+        first = int(close.argmax())
+        return positions[first] if close[first] else None
+
+
 @dataclass
 class EquilibriumSet:
     """A de-duplicated collection of equilibria of one game.
 
     Used both for ground-truth sets (from the enumeration solvers) and
     for the sets discovered by annealing solvers; matching between the
-    two is done with :meth:`match` / :meth:`count_found`.
+    two is done with :meth:`match` / :meth:`count_found`.  Two profiles
+    are equivalent when :meth:`StrategyProfile.close_to` holds; each
+    query tests a profile against every kept profile of its shape in
+    one array comparison, and the first kept match in insertion order
+    wins.
     """
 
     game: BimatrixGame
@@ -213,15 +259,18 @@ class EquilibriumSet:
 
         Returns ``True`` when the profile was new.
         """
-        for existing in self.profiles:
-            if existing.close_to(profile, atol=self.atol):
-                return False
-        self.profiles.append(profile)
-        return True
+        return self.extend((profile,)) == 1
 
     def extend(self, profiles: Iterable[StrategyProfile]) -> int:
-        """Add many profiles; returns the number actually inserted."""
-        return sum(1 for profile in profiles if self.add(profile))
+        """Add many profiles in order; returns the number actually inserted."""
+        stacks = _ShapeStacks(self.profiles)
+        added = 0
+        for profile in profiles:
+            if stacks.first_match(profile, self.atol) is None:
+                stacks.append(len(self.profiles), profile)
+                self.profiles.append(profile)
+                added += 1
+        return added
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -235,20 +284,16 @@ class EquilibriumSet:
     def match(self, profile: StrategyProfile, atol: Optional[float] = None) -> Optional[int]:
         """Index of the stored profile equivalent to ``profile``, or ``None``."""
         atol = self.atol if atol is None else atol
-        for index, existing in enumerate(self.profiles):
-            if existing.close_to(profile, atol=atol):
-                return index
-        return None
+        return _ShapeStacks(self.profiles).first_match(profile, atol)
 
     def count_found(
         self, candidates: Sequence[StrategyProfile], atol: Optional[float] = None
     ) -> int:
         """How many of this set's profiles are matched by ``candidates``."""
-        found = set()
-        for candidate in candidates:
-            index = self.match(candidate, atol=atol)
-            if index is not None:
-                found.add(index)
+        atol = self.atol if atol is None else atol
+        stacks = _ShapeStacks(self.profiles)
+        found = {stacks.first_match(candidate, atol) for candidate in candidates}
+        found.discard(None)
         return len(found)
 
     def pure_profiles(self, atol: float = 1e-6) -> List[StrategyProfile]:

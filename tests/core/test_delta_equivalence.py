@@ -24,6 +24,7 @@ from repro.core import (
     run_two_phase_sa_batch,
     sample_transfer_moves,
 )
+from repro.core.strategy import _batched_transfer
 from repro.games.generators import random_game
 from repro.hardware import IDEAL_VARIABILITY
 
@@ -203,14 +204,28 @@ def reference_fused_run(game, num_intervals, batch_size, num_iterations, seed, b
 
 
 class TestBlockRngDeterminism:
-    def test_fused_kernel_matches_scalar_reference(self):
-        """The block-sampled stream replays chain by chain."""
-        game = integer_game(4, 3, seed=2)
+    @pytest.mark.parametrize(
+        "n,m,num_intervals",
+        [
+            (4, 3, 8),  # I > n and I > m
+            (1, 5, 4),  # the row player has a single action
+            (5, 1, 4),  # the column player has a single action
+            (40, 3, 4),  # I < n: sparse row support
+            (2, 3, 16),  # I far above both action counts
+        ],
+    )
+    def test_fused_kernel_matches_scalar_reference(self, n, m, num_intervals):
+        """The block-sampled stream replays chain by chain.
+
+        ``I`` stays a power of two so the integer payoffs keep every
+        delta update exact and the scalar objectives compare bit for bit.
+        """
+        game = integer_game(n, m, seed=2)
         best, accepted, p_counts, q_counts = reference_fused_run(
-            game, 8, batch_size=6, num_iterations=150, seed=123, block_size=32
+            game, num_intervals, batch_size=6, num_iterations=150, seed=123, block_size=32
         )
         problem = FusedTwoPhaseProblem(
-            IdealEvaluator(game), 8, evaluation="delta", min_incremental_cells=0
+            IdealEvaluator(game), num_intervals, evaluation="delta", min_incremental_cells=0
         )
         annealer = FusedAnnealer(
             problem, AnnealingConfig(num_iterations=150), block_size=32
@@ -220,6 +235,30 @@ class TestBlockRngDeterminism:
         np.testing.assert_array_equal(result.num_accepted, accepted)
         np.testing.assert_array_equal(result.final_states.p_counts, p_counts)
         np.testing.assert_array_equal(result.final_states.q_counts, q_counts)
+
+    @pytest.mark.parametrize("num_actions,num_intervals", [(2, 3), (9, 4), (40, 4), (6, 30)])
+    def test_batched_transfer_moves_the_pick_th_positive_action(self, num_actions, num_intervals):
+        """The legacy sampler's donor is the ``pick``-th action holding an interval."""
+        rng = np.random.default_rng(num_actions)
+        counts = rng.multinomial(num_intervals, np.full(num_actions, 1.0 / num_actions), size=64)
+        move_mask = rng.random(64) < 0.7
+        seed_state = rng.bit_generator.state
+        moved = counts.copy()
+        _batched_transfer(moved, move_mask, rng)
+        # Replay the sampler's two draws per chain with np.flatnonzero.
+        replay = np.random.default_rng()
+        replay.bit_generator.state = seed_state
+        u_donor = replay.random(64)
+        receivers = replay.integers(0, num_actions - 1, size=64)
+        expected = counts.copy()
+        for chain in np.flatnonzero(move_mask):
+            positive = np.flatnonzero(counts[chain] > 0)
+            pick = min(int(u_donor[chain] * positive.size), positive.size - 1)
+            donor = positive[pick]
+            receiver = receivers[chain] + (receivers[chain] >= donor)
+            expected[chain, donor] -= 1
+            expected[chain, receiver] += 1
+        np.testing.assert_array_equal(moved, expected)
 
     def test_batch_reproducible_from_seed_through_solver(self):
         game = integer_game(6, 6, seed=4)

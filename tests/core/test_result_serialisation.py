@@ -6,11 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backends import profiles_to_wire
 from repro.core.config import CNashConfig
 from repro.core.result import SolverBatchResult, SolverRunResult
 from repro.core.solver import CNashSolver
 from repro.core.strategy import QuantizedStrategyPair
+from repro.games.equilibrium import StrategyProfile
 
 
 def make_run(objective: float = -1.0, success: bool = True) -> SolverRunResult:
@@ -49,6 +53,58 @@ class TestRunRoundTrip:
         payload = make_run().to_dict()
         del payload["objective_history"]
         assert SolverRunResult.from_dict(payload).objective_history == []
+
+
+@st.composite
+def count_pairs(draw):
+    """int64 interval counts, up to 2**40 intervals, sharing one total."""
+    p_counts = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+    total = max(sum(p_counts), 1)
+    p_counts[0] += total - sum(p_counts)
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=5)))
+    q_counts = np.diff([0, *cuts, total])
+    return np.array(p_counts, dtype=np.int64), q_counts.astype(np.int64), total
+
+
+float64s = st.floats(allow_nan=False, width=64)
+
+
+class TestWireEncoding:
+    """Whole-array ``tolist()`` encodings print the same JSON as per-element casts."""
+
+    @given(counts=count_pairs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_run_counts_encode_like_per_element_ints(self, counts):
+        p_counts, q_counts, total = counts
+        run = make_run()
+        run.best_state = QuantizedStrategyPair(p_counts, q_counts, total)
+        per_element = {
+            **run.to_dict(),
+            "p_counts": [int(c) for c in run.best_state.p_counts],
+            "q_counts": [int(c) for c in run.best_state.q_counts],
+        }
+        assert json.dumps(run.to_dict()) == json.dumps(per_element)
+
+    @given(
+        vectors=st.lists(
+            st.tuples(
+                st.lists(float64s, min_size=1, max_size=6),
+                st.lists(float64s, min_size=1, max_size=6),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_profiles_encode_like_per_element_floats(self, vectors):
+        profiles = [
+            StrategyProfile.trusted(np.array(p, dtype=np.float64), np.array(q, dtype=np.float64))
+            for p, q in vectors
+        ]
+        per_element = [
+            {"p": [float(x) for x in profile.p], "q": [float(x) for x in profile.q]}
+            for profile in profiles
+        ]
+        assert json.dumps(profiles_to_wire(profiles)) == json.dumps(per_element)
 
 
 class TestBatchRoundTrip:
