@@ -3,15 +3,15 @@
 
 Measures, on this machine:
 
-* **Kernel throughput** — proposals/second of the three batch SA
-  engines (legacy ``VectorizedAnnealer`` full evaluation, fused kernel
-  with full evaluation, fused kernel with incremental *delta*
-  evaluation) on random integer-payoff games, including the headline
-  64x64 / B=1000 / I=32 workload and the paper-sized 2x2 / 3x3 games
-  where the delta kernel must not regress.
+* **Kernel throughput** — proposals/second of the fused kernel with
+  full evaluation (``FusedTwoPhaseProblem``) and of the solver's own
+  route, which runs incremental *delta* evaluation from the 36-cell
+  crossover up (``run_two_phase_sa_batch``), on random integer-payoff
+  games, including the headline 64x64 / B=1000 / I=32 workload and the
+  paper-sized 2x2 / 3x3 games, where both columns run full evaluation.
 * **End-to-end Table-1 workload** — ``CNashSolver.solve_batch`` on the
-  paper's three games for each ``execution``/``evaluation`` mode,
-  runs/second and success rate.
+  paper's three games for each ``execution`` mode, runs/second and
+  success rate.
 
 Results are written as JSON (default ``BENCH_PR4.json`` next to the
 repo root) so future PRs can track the trajectory::
@@ -20,8 +20,8 @@ repo root) so future PRs can track the trajectory::
     PYTHONPATH=src python benchmarks/run_bench.py --smoke --assert-speedup 1.0
 
 ``--smoke`` shrinks every workload for CI; ``--assert-speedup X`` exits
-non-zero unless the delta kernel is at least ``X`` times as fast as the
-legacy full-evaluation path on the largest benchmarked game.
+non-zero unless the delta route is at least ``X`` times as fast as
+fused full evaluation on the largest benchmarked game.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np
 
-from repro.annealing import AnnealingConfig, FusedAnnealer, VectorizedAnnealer
+from repro.annealing import AnnealingConfig, FusedAnnealer
 from repro.core import (
-    BatchTwoPhaseAnnealingProblem,
     CNashConfig,
     CNashSolver,
     FusedTwoPhaseProblem,
     IdealEvaluator,
+    run_two_phase_sa_batch,
 )
 from repro.games import battle_of_the_sexes, bird_game, modified_prisoners_dilemma
 from repro.games.generators import random_game
@@ -61,7 +61,7 @@ def _best_of(repeats, fn):
 
 
 def bench_kernels(smoke: bool, repeats: int):
-    """Proposals/sec of legacy vs fused-full vs fused-delta per workload."""
+    """Proposals/sec of fused full evaluation vs the delta route per workload."""
     if smoke:
         workloads = [
             ("random 16x16", random_game(16, 16, integer_payoffs=True, seed=1), 8, 128, 300),
@@ -78,23 +78,26 @@ def bench_kernels(smoke: bool, repeats: int):
     for name, game, num_intervals, batch_size, num_iterations in workloads:
         evaluator = IdealEvaluator(game)
         annealing = AnnealingConfig(num_iterations=num_iterations)
+        # The same schedule as ``annealing`` (the AnnealingConfig default).
+        config = CNashConfig(
+            num_intervals=num_intervals,
+            num_iterations=num_iterations,
+            initial_temperature=5.0,
+            final_temperature=0.01,
+        )
         proposals = batch_size * num_iterations
 
-        def run_legacy():
-            VectorizedAnnealer(
-                BatchTwoPhaseAnnealingProblem(evaluator, num_intervals), annealing
+        def run_full():
+            FusedAnnealer(
+                FusedTwoPhaseProblem(evaluator, num_intervals), annealing
             ).run(batch_size, seed=0)
 
-        def run_fused(evaluation):
-            FusedAnnealer(
-                FusedTwoPhaseProblem(evaluator, num_intervals, evaluation=evaluation),
-                annealing,
-            ).run(batch_size, seed=0)
+        def run_delta():
+            run_two_phase_sa_batch(evaluator, config, batch_size, seed=0)
 
         timings = {
-            "legacy_full": _best_of(repeats, run_legacy),
-            "fused_full": _best_of(repeats, lambda: run_fused("full")),
-            "fused_delta": _best_of(repeats, lambda: run_fused("delta")),
+            "fused_full": _best_of(repeats, run_full),
+            "fused_delta": _best_of(repeats, run_delta),
         }
         record = {
             "workload": name,
@@ -107,9 +110,6 @@ def bench_kernels(smoke: bool, repeats: int):
             "proposals_per_second": {
                 key: round(proposals / value) for key, value in timings.items()
             },
-            "delta_speedup_vs_legacy": round(
-                timings["legacy_full"] / timings["fused_delta"], 2
-            ),
             "delta_speedup_vs_fused_full": round(
                 timings["fused_full"] / timings["fused_delta"], 2
             ),
@@ -117,10 +117,9 @@ def bench_kernels(smoke: bool, repeats: int):
         records.append(record)
         print(
             f"[kernel] {name}: "
-            f"legacy {record['proposals_per_second']['legacy_full']:,} prop/s, "
+            f"full {record['proposals_per_second']['fused_full']:,} prop/s, "
             f"delta {record['proposals_per_second']['fused_delta']:,} prop/s "
-            f"({record['delta_speedup_vs_legacy']}x vs legacy, "
-            f"{record['delta_speedup_vs_fused_full']}x vs fused full)"
+            f"({record['delta_speedup_vs_fused_full']}x vs fused full)"
         )
     return records
 
@@ -137,38 +136,29 @@ def bench_end_to_end(smoke: bool):
         ]
     records = []
     for game, num_iterations, vector_runs, sequential_runs in games:
-        modes = [
-            ("sequential", "full", sequential_runs),
-            ("vectorized", "full", vector_runs),
-            ("vectorized", "delta", vector_runs),
-        ]
+        modes = [("sequential", sequential_runs), ("vectorized", vector_runs)]
         entry = {"game": game.name, "num_iterations": num_iterations, "modes": {}}
-        for execution, evaluation, num_runs in modes:
+        for execution, num_runs in modes:
             config = CNashConfig(
-                num_intervals=8,
-                num_iterations=num_iterations,
-                execution=execution,
-                evaluation=evaluation,
+                num_intervals=8, num_iterations=num_iterations, execution=execution
             )
             solver = CNashSolver(game, config)
             start = time.perf_counter()
             batch = solver.solve_batch(num_runs=num_runs, seed=0)
             elapsed = time.perf_counter() - start
-            entry["modes"][f"{execution}/{evaluation}"] = {
+            entry["modes"][execution] = {
                 "num_runs": num_runs,
                 "seconds": round(elapsed, 4),
                 "runs_per_second": round(num_runs / elapsed, 2),
                 "success_rate": round(batch.success_rate, 4),
             }
-        sequential = entry["modes"]["sequential/full"]["runs_per_second"]
-        delta = entry["modes"]["vectorized/delta"]["runs_per_second"]
-        full = entry["modes"]["vectorized/full"]["runs_per_second"]
-        entry["delta_speedup_vs_sequential"] = round(delta / sequential, 2)
-        entry["delta_speedup_vs_vectorized_full"] = round(delta / full, 2)
+        sequential = entry["modes"]["sequential"]["runs_per_second"]
+        vectorized = entry["modes"]["vectorized"]["runs_per_second"]
+        entry["vectorized_speedup_vs_sequential"] = round(vectorized / sequential, 2)
         records.append(entry)
         print(
             f"[end-to-end] {game.name}: sequential {sequential:.1f} runs/s, "
-            f"vectorized/full {full:.1f} runs/s, vectorized/delta {delta:.1f} runs/s"
+            f"vectorized {vectorized:.1f} runs/s"
         )
     return records
 
@@ -187,7 +177,7 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="X",
-        help="fail unless delta >= X times the legacy kernel on the largest game",
+        help="fail unless delta >= X times fused full evaluation on the largest game",
     )
     parser.add_argument(
         "--skip-end-to-end", action="store_true", help="kernel benchmarks only"
@@ -211,7 +201,6 @@ def main(argv=None) -> int:
         "end_to_end_table1": end_to_end,
         "headline": {
             "workload": headline["workload"],
-            "delta_speedup_vs_legacy": headline["delta_speedup_vs_legacy"],
             "delta_speedup_vs_fused_full": headline["delta_speedup_vs_fused_full"],
         },
     }
@@ -219,7 +208,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.json}")
 
     if args.assert_speedup is not None:
-        speedup = headline["delta_speedup_vs_legacy"]
+        speedup = headline["delta_speedup_vs_fused_full"]
         if speedup < args.assert_speedup:
             print(
                 f"FAIL: delta kernel speedup {speedup}x on {headline['workload']} "
@@ -228,7 +217,7 @@ def main(argv=None) -> int:
             )
             return 1
         print(
-            f"OK: delta kernel {speedup}x vs legacy on {headline['workload']} "
+            f"OK: delta kernel {speedup}x vs fused full on {headline['workload']} "
             f"(required >= {args.assert_speedup}x)"
         )
     return 0

@@ -134,7 +134,6 @@ class CNashBackend:
                 "num_intervals": config.num_intervals,
                 "num_iterations": config.num_iterations,
                 "execution": config.execution,
-                "evaluation": config.evaluation,
                 "use_hardware": config.use_hardware,
                 "epsilon": solver.epsilon,
             },

@@ -29,7 +29,6 @@ from repro.core.strategy import (
     sample_transfer_moves,
 )
 from repro.core.two_phase_sa import (
-    BatchTwoPhaseAnnealingProblem,
     FusedTwoPhaseProblem,
     TwoPhaseAnnealingProblem,
     TwoPhaseSARun,
@@ -56,7 +55,6 @@ __all__ = [
     "composition_grid",
     "enumerate_grid_optimum",
     "TwoPhaseAnnealingProblem",
-    "BatchTwoPhaseAnnealingProblem",
     "FusedTwoPhaseProblem",
     "TwoPhaseSARun",
     "run_two_phase_sa",

@@ -69,8 +69,6 @@ class CNashConfig:
         Equilibrium tolerance used when classifying the solver output;
         when ``None`` a tolerance matched to the quantisation step and
         payoff scale is derived automatically.
-    move_both_players:
-        Whether an SA move perturbs both players simultaneously.
     pure_start_bias:
         Probability that a run starts from a random pure strategy pair
         rather than a random mixed one.
@@ -84,29 +82,19 @@ class CNashConfig:
         time (the reference implementation).  Both sample the same move
         and acceptance distributions; single ``solve`` calls always use
         the sequential engine.
-    evaluation:
-        Candidate-energy strategy for the vectorized execution path:
-        ``"delta"`` (default) computes each proposal's objective through
-        O(n+m) rank-1 cache updates on the fused kernel wherever the
-        evaluator supports it (the exact/ideal evaluator does), with a
-        periodic full re-sync bounding float drift; ``"full"``
-        re-evaluates the complete MAX-QUBO objective for every proposal.
-        Both consume identical randomness on the fused kernel, so for
-        exactly representable payoffs they produce identical
-        accept/reject sequences and equilibria.  Evaluators without
-        incremental support — the hardware evaluator (physical two-phase
-        reads) and custom evaluators — always perform full evaluations
-        regardless of this knob, as do ``move_both_players`` runs and
-        the sequential engine.
 
-        Note that *both* modes run on the fused kernel when the
-        evaluator supports it, whose block-sampled random stream differs
-        from the earlier per-iteration vectorized engine: seeded
-        ``execution="vectorized"`` batches therefore sample different
-        (identically distributed) runs than releases predating this
-        knob, and ``evaluation="full"`` is *not* a compatibility mode
-        for their exact numbers.  ``execution="sequential"`` remains the
-        stream-stable reference.
+        Every vectorized batch runs on the fused kernel, which picks its
+        candidate-energy strategy from what it can see: the exact
+        evaluator on games of at least 36 payoff cells gets O(n+m)
+        rank-1 delta updates, with a periodic full re-sync bounding
+        float drift; the hardware evaluator (physical two-phase reads),
+        custom evaluators and smaller games re-evaluate the whole
+        objective per proposal.  The fused kernel's block-sampled
+        random stream differs from the per-iteration stream of the
+        earlier vectorized engine, so seeded vectorized batches sample
+        different (identically distributed) runs than releases that
+        predate it; ``execution="sequential"`` remains the stream-stable
+        reference.
     """
 
     num_intervals: int = 8
@@ -117,18 +105,13 @@ class CNashConfig:
     cells_per_element: int = 0
     adc_bits: int = 10
     epsilon: Optional[float] = None
-    move_both_players: bool = False
     pure_start_bias: float = 0.5
     record_history: bool = False
     execution: str = "vectorized"
-    evaluation: str = "delta"
     acceptance: AcceptanceRule = field(default_factory=MetropolisAcceptance)
 
     #: Supported batch execution strategies.
     EXECUTION_MODES = ("vectorized", "sequential")
-
-    #: Supported candidate-energy evaluation strategies.
-    EVALUATION_MODES = ("delta", "full")
 
     def __post_init__(self) -> None:
         if self.num_intervals < 1:
@@ -149,10 +132,6 @@ class CNashConfig:
             raise ValueError(
                 f"execution must be one of {self.EXECUTION_MODES}, got {self.execution!r}"
             )
-        if self.evaluation not in self.EVALUATION_MODES:
-            raise ValueError(
-                f"evaluation must be one of {self.EVALUATION_MODES}, got {self.evaluation!r}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON form of the configuration (inverse of :meth:`from_dict`).
@@ -171,11 +150,9 @@ class CNashConfig:
             "cells_per_element": self.cells_per_element,
             "adc_bits": self.adc_bits,
             "epsilon": self.epsilon,
-            "move_both_players": self.move_both_players,
             "pure_start_bias": self.pure_start_bias,
             "record_history": self.record_history,
             "execution": self.execution,
-            "evaluation": self.evaluation,
             "acceptance": acceptance_to_dict(self.acceptance),
         }
 

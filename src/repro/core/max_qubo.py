@@ -89,22 +89,16 @@ class ObjectiveEvaluator(ABC):
         return max_qubo_breakdown(self.game, state.p, state.q)
 
     def supports_incremental(self) -> bool:
-        """Whether :meth:`incremental_state` is available.
+        """Whether the objective admits incremental (delta) evaluation.
 
-        Incremental (delta) evaluation computes candidate energies for
-        interval-transfer moves via rank-1 cache updates instead of full
-        ``O(B·n·m)`` products.  The base class answers ``False`` —
-        custom evaluators and the hardware path (which performs physical
-        two-phase reads of the whole objective) keep the full-evaluation
-        code path.
+        Incremental evaluation computes candidate energies for
+        interval-transfer moves via rank-1 updates of a
+        :class:`StackedIncrementalState` instead of full ``O(B·n·m)``
+        products.  The base class answers ``False`` — custom evaluators
+        and the hardware path (which performs physical two-phase reads
+        of the whole objective) run full evaluation.
         """
         return False
-
-    def incremental_state(self, states: BatchedStrategyState) -> "StackedIncrementalState":
-        """Build the delta-evaluation cache for a stacked batch of states."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental evaluation"
-        )
 
 
 class IdealEvaluator(ObjectiveEvaluator):
@@ -144,15 +138,6 @@ class IdealEvaluator(ObjectiveEvaluator):
     def supports_incremental(self) -> bool:
         return True
 
-    def incremental_state(self, states: BatchedStrategyState) -> "StackedIncrementalState":
-        """The delta-evaluation cache of a one-game stack (every chain plays this game)."""
-        return StackedIncrementalState(
-            [self._game],
-            np.zeros(states.batch_size, dtype=np.int64),
-            states,
-            combined=[self._combined],
-        )
-
 
 class StackedIncrementalState:
     """Per-chain action-value caches for O(n+m) delta evaluation.
@@ -190,7 +175,7 @@ class StackedIncrementalState:
     batch instead of once per job.  Chain ``b`` belongs to game
     ``chain_games[b]`` and every payoff gather indexes a ``(K, n, m)``
     stack with that per-chain game index; a solo launch is a one-game
-    stack (:meth:`IdealEvaluator.incremental_state`).
+    stack.
 
     Bit-identity contract: a chain advances *flip-for-flip* identically
     whichever games share its stack.

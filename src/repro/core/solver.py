@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.annealing.batch import run_batch
-from repro.annealing.vectorized import run_scaled_progress_callback
+from repro.annealing.vectorized import BatchAnnealingResult, run_scaled_progress_callback
 from repro.core.config import CNashConfig
 from repro.core.max_qubo import HardwareEvaluator, IdealEvaluator, ObjectiveEvaluator
 from repro.core.result import SolverBatchResult, SolverRunResult
@@ -177,13 +177,13 @@ class CNashSolver:
         """Run ``num_runs`` independent SA runs (the paper's 5000-run protocol).
 
         With ``config.execution == "vectorized"`` (the default) all runs
-        advance in lockstep as stacked array operations — one batched
-        objective evaluation per iteration instead of one tiny evaluation
-        per run per iteration.  ``config.evaluation`` picks how candidate
-        energies are computed on that path: ``"delta"`` (default) uses the
-        fused O(n+m) rank-1 kernel wherever the evaluator supports it,
-        ``"full"`` re-evaluates the whole objective per proposal; the
-        hardware evaluator always performs its full two-phase reads.
+        advance in lockstep on the fused kernel — one batched objective
+        evaluation per iteration instead of one tiny evaluation per run
+        per iteration.  The exact evaluator on games of at least 36
+        payoff cells uses O(n+m) rank-1 delta updates; the hardware
+        evaluator (full two-phase reads) and smaller games re-evaluate
+        the whole objective per proposal
+        (:func:`~repro.core.two_phase_sa.run_two_phase_sa_batch`).
         ``"sequential"`` executes the runs one at a time with per-run
         generators (the reference implementation).  All paths sample the
         same move/acceptance distributions, so the batch statistics
@@ -240,22 +240,26 @@ class CNashSolver:
             self.evaluator, self.config, num_runs, seed=seed, callback=callback
         )
         _record_kernel_launch(batch, num_runs, time.perf_counter() - launch_start)
+        return self._classify_chains(batch, 0, num_runs)
+
+    def _classify_chains(
+        self, batch: BatchAnnealingResult, start: int, stop: int
+    ) -> List[SolverRunResult]:
+        """Classify chains ``start:stop`` of a kernel launch's stacked result."""
         acceptance_rates = batch.acceptance_rates
         epsilon = self.epsilon
-        runs: List[SolverRunResult] = []
-        for index in range(num_runs):
-            runs.append(
-                self._classify_run(
-                    epsilon=epsilon,
-                    best_state=batch.best_states.state(index),
-                    best_objective=float(batch.best_energies[index]),
-                    iterations=batch.num_iterations,
-                    iterations_to_best=int(batch.iterations_to_best[index]),
-                    acceptance_rate=float(acceptance_rates[index]),
-                    objective_history=batch.chain_history(index),
-                )
+        return [
+            self._classify_run(
+                epsilon=epsilon,
+                best_state=batch.best_states.state(index),
+                best_objective=float(batch.best_energies[index]),
+                iterations=batch.num_iterations,
+                iterations_to_best=int(batch.iterations_to_best[index]),
+                acceptance_rate=float(acceptance_rates[index]),
+                objective_history=batch.chain_history(index),
             )
-        return runs
+            for index in range(start, stop)
+        ]
 
     def _classify_run(
         self,
@@ -339,7 +343,7 @@ def solve_shards_fused(
     shards: Sequence[Tuple[BimatrixGame, int, SeedLike]],
     config: Optional[CNashConfig] = None,
 ) -> List[SolverBatchResult]:
-    """Solve many same-shape shard jobs as one fused kernel launch.
+    """Solve one or many same-shape shard jobs as one fused kernel launch.
 
     ``shards[j] = (game, num_runs, seed)``; the returned batch ``j`` is
     bit-identical (same runs, same classifications — everything except
@@ -374,24 +378,10 @@ def solve_shards_fused(
     elapsed = time.perf_counter() - start
     total_runs = sum(num_runs for _, num_runs, _ in shards)
     _record_kernel_launch(batch, total_runs, elapsed)
-    acceptance_rates = batch.acceptance_rates
     results: List[SolverBatchResult] = []
     offset = 0
     for solver, (game, num_runs, _) in zip(solvers, shards):
-        epsilon = solver.epsilon
-        runs: List[SolverRunResult] = []
-        for index in range(offset, offset + num_runs):
-            runs.append(
-                solver._classify_run(
-                    epsilon=epsilon,
-                    best_state=batch.best_states.state(index),
-                    best_objective=float(batch.best_energies[index]),
-                    iterations=batch.num_iterations,
-                    iterations_to_best=int(batch.iterations_to_best[index]),
-                    acceptance_rate=float(acceptance_rates[index]),
-                    objective_history=batch.chain_history(index),
-                )
-            )
+        runs = solver._classify_chains(batch, offset, offset + num_runs)
         offset += num_runs
         results.append(
             SolverBatchResult(

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.games.equilibrium import StrategyProfile
 from repro.hardware.mapping import StrategyQuantizer
-from repro.utils.rng import SeedLike, as_generator
 
 
 @dataclass(frozen=True)
@@ -120,37 +119,6 @@ def _nth_positive(
     return flat[first + pick] - np.arange(0, num_rows * num_cols, num_cols)
 
 
-def _batched_transfer(
-    counts: np.ndarray, move_mask: np.ndarray, rng: np.random.Generator
-) -> None:
-    """Apply one interval-transfer move in place to the masked rows of ``counts``.
-
-    For every chain a donor action is drawn uniformly from the actions
-    with at least one interval and a receiver uniformly from the other
-    actions — the same distribution as the scalar
-    :meth:`StrategyMoveGenerator._transfer`, but drawn for the whole
-    ``(B, k)`` batch at once.  Draws are made for all chains whenever at
-    least one is masked in (and skipped entirely otherwise), so the
-    number of values consumed from ``rng`` depends on the mask — callers
-    must not rely on a fixed per-call draw count.
-    """
-    batch_size, num_actions = counts.shape
-    if num_actions < 2 or not move_mask.any():
-        return
-    positive = counts > 0
-    num_positive = positive.sum(axis=1)
-    # Pick the j-th positive action, j uniform in [0, num_positive).
-    pick = np.minimum(
-        (rng.random(batch_size) * num_positive).astype(int), num_positive - 1
-    )
-    donor = _nth_positive(positive, num_positive, pick)
-    receiver = rng.integers(0, num_actions - 1, size=batch_size)
-    receiver += receiver >= donor
-    rows = np.flatnonzero(move_mask)
-    counts[rows, donor[rows]] -= 1
-    counts[rows, receiver[rows]] += 1
-
-
 @dataclass
 class TransferMoveBatch:
     """One structured interval-transfer move per chain.
@@ -162,7 +130,8 @@ class TransferMoveBatch:
     player so evaluators can apply the two rank-1 update families with
     one gather each.  Chains whose chosen player has fewer than two
     actions appear in neither group — their proposal is the identity
-    move (matching :func:`_batched_transfer`, which skips such players).
+    move (matching :meth:`StrategyMoveGenerator.propose`, which leaves
+    such a player unchanged).
     """
 
     #: Chain indices whose *row* player moves, with per-entry actions.
@@ -201,11 +170,12 @@ def _pick_transfer(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Donor/receiver actions for the chains in ``rows``, from uniforms.
 
-    Samples the same distribution as :func:`_batched_transfer` — donor
-    uniform over the actions holding at least one interval, receiver
-    uniform over the remaining actions — but from pre-drawn ``U[0, 1)``
-    variates instead of fresh generator calls, so a whole block of
-    iterations can share one draw.
+    Samples the same distribution as the scalar
+    :meth:`StrategyMoveGenerator._transfer` — donor uniform over the
+    actions holding at least one interval, receiver uniform over the
+    remaining actions — for every chain of ``rows`` at once and from
+    pre-drawn ``U[0, 1)`` variates instead of fresh generator calls, so
+    a whole block of iterations can share one draw.
     """
     num_actions = counts.shape[1]
     if num_actions < 2 or rows.size == 0:
@@ -236,7 +206,7 @@ def sample_transfer_moves(
     column player otherwise; the move transfers a single interval of
     probability mass between two actions of that player (the Alg.-1
     neighbourhood, identical in distribution to
-    :meth:`BatchedStrategyState.transfer_moves` with one-player moves).
+    :meth:`StrategyMoveGenerator.propose`).
     """
     move_p = u_player < 0.5
     p_rows, p_source, p_target = _pick_transfer(
@@ -364,55 +334,15 @@ class BatchedStrategyState:
             pair.num_intervals,
         )
 
-    # ------------------------------------------------------------------
-    # Moves and merging
-    # ------------------------------------------------------------------
-    def transfer_moves(
-        self, rng: np.random.Generator, move_both_players: bool = False
-    ) -> "BatchedStrategyState":
-        """One SA move per chain: the batched :meth:`StrategyMoveGenerator.propose`.
-
-        Each chain either perturbs one randomly chosen player (default)
-        or both players, transferring a single interval of probability
-        mass between actions; the result is a new stacked state.
-        """
-        p_counts = self.p_counts.copy()
-        q_counts = self.q_counts.copy()
-        if move_both_players:
-            move_p = move_q = np.ones(self.batch_size, dtype=bool)
-        else:
-            move_p = rng.random(self.batch_size) < 0.5
-            move_q = ~move_p
-        _batched_transfer(p_counts, move_p, rng)
-        _batched_transfer(q_counts, move_q, rng)
-        return BatchedStrategyState(p_counts, q_counts, self.num_intervals)
-
-    @staticmethod
-    def where(
-        mask: np.ndarray, accepted: "BatchedStrategyState", rejected: "BatchedStrategyState"
-    ) -> "BatchedStrategyState":
-        """Per-chain merge: take ``accepted`` where ``mask``, else ``rejected``."""
-        if accepted.num_intervals != rejected.num_intervals:
-            raise ValueError("cannot merge batches with different num_intervals")
-        return BatchedStrategyState(
-            np.where(mask[:, None], accepted.p_counts, rejected.p_counts),
-            np.where(mask[:, None], accepted.q_counts, rejected.q_counts),
-            accepted.num_intervals,
-        )
-
 
 class StrategyMoveGenerator:
     """Generates random neighbouring strategy pairs for the SA search.
 
-    A move picks one player (or both, per ``move_both_players``) and
-    transfers one interval of probability mass from a randomly chosen
-    donor action (with at least one interval) to a different randomly
-    chosen receiver action.  Moves therefore always stay on the simplex
-    grid.
+    A move picks one player and transfers one interval of probability
+    mass from a randomly chosen donor action (with at least one
+    interval) to a different randomly chosen receiver action.  Moves
+    therefore always stay on the simplex grid.
     """
-
-    def __init__(self, move_both_players: bool = False):
-        self.move_both_players = move_both_players
 
     @staticmethod
     def _transfer(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -434,14 +364,10 @@ class StrategyMoveGenerator:
         """Return a neighbouring strategy pair."""
         p_counts = state.p_counts
         q_counts = state.q_counts
-        if self.move_both_players:
+        if rng.random() < 0.5:
             p_counts = self._transfer(p_counts, rng)
-            q_counts = self._transfer(q_counts, rng)
         else:
-            if rng.random() < 0.5:
-                p_counts = self._transfer(p_counts, rng)
-            else:
-                q_counts = self._transfer(q_counts, rng)
+            q_counts = self._transfer(q_counts, rng)
         return QuantizedStrategyPair(p_counts, q_counts, state.num_intervals)
 
     def random_state(

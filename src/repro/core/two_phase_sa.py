@@ -26,12 +26,10 @@ import numpy as np
 
 from repro.annealing.engine import AnnealingConfig, AnnealingResult, AnnealingProblem, SimulatedAnnealer
 from repro.annealing.vectorized import (
-    BatchAnnealingProblem,
     BatchAnnealingResult,
     FusedAnnealer,
     FusedBatchProblem,
     MultiFusedBatchProblem,
-    VectorizedAnnealer,
 )
 from repro.core.config import CNashConfig
 from repro.core.max_qubo import IdealEvaluator, ObjectiveEvaluator, StackedIncrementalState
@@ -44,6 +42,11 @@ from repro.core.strategy import (
 )
 from repro.utils.rng import SeedLike
 
+#: Payoff-cell count from which rank-1 delta evaluation pays off (the
+#: measured crossover): below it a full ``O(n·m)`` product costs less
+#: than the delta bookkeeping, so smaller games run full evaluation.
+MIN_INCREMENTAL_CELLS = 36
+
 
 class TwoPhaseAnnealingProblem(AnnealingProblem[QuantizedStrategyPair]):
     """The MAX-QUBO minimisation over the quantised strategy grid."""
@@ -52,12 +55,11 @@ class TwoPhaseAnnealingProblem(AnnealingProblem[QuantizedStrategyPair]):
         self,
         evaluator: ObjectiveEvaluator,
         num_intervals: int,
-        move_generator: Optional[StrategyMoveGenerator] = None,
         pure_start_bias: float = 0.5,
     ) -> None:
         self.evaluator = evaluator
         self.num_intervals = num_intervals
-        self.move_generator = move_generator or StrategyMoveGenerator()
+        self.move_generator = StrategyMoveGenerator()
         self.pure_start_bias = pure_start_bias
         self._shape = evaluator.game.shape
 
@@ -76,67 +78,35 @@ class TwoPhaseAnnealingProblem(AnnealingProblem[QuantizedStrategyPair]):
         return self.evaluator.evaluate(state)
 
 
-class BatchTwoPhaseAnnealingProblem(BatchAnnealingProblem[BatchedStrategyState]):
-    """Chain-parallel MAX-QUBO minimisation over stacked strategy batches.
-
-    The batched counterpart of :class:`TwoPhaseAnnealingProblem`: all
-    chains propose interval-transfer moves and evaluate the objective
-    (exactly, or through the batched bi-crossbar datapath) as whole-batch
-    array operations.
-    """
-
-    def __init__(
-        self,
-        evaluator: ObjectiveEvaluator,
-        num_intervals: int,
-        move_both_players: bool = False,
-        pure_start_bias: float = 0.5,
-    ) -> None:
-        self.evaluator = evaluator
-        self.num_intervals = num_intervals
-        self.move_both_players = move_both_players
-        self.pure_start_bias = pure_start_bias
-        self._shape = evaluator.game.shape
-
-    def initial_states(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> BatchedStrategyState:
-        n, m = self._shape
-        return BatchedStrategyState.random(
-            batch_size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
-        )
-
-    def propose_batch(
-        self, states: BatchedStrategyState, rng: np.random.Generator
-    ) -> BatchedStrategyState:
-        return states.transfer_moves(rng, move_both_players=self.move_both_players)
-
-    def energies(self, states: BatchedStrategyState) -> np.ndarray:
-        return self.evaluator.evaluate_batch(states)
-
-    def select(
-        self,
-        mask: np.ndarray,
-        accepted: BatchedStrategyState,
-        rejected: BatchedStrategyState,
-    ) -> BatchedStrategyState:
-        return BatchedStrategyState.where(mask, accepted, rejected)
-
-    def unstack(self, states: BatchedStrategyState, index: int) -> QuantizedStrategyPair:
-        return states.state(index)
-
-
 class _CountBuffers:
-    """Snapshot and export methods over the ``(B, n)`` / ``(B, m)`` count buffers.
+    """Count buffers, move staging and snapshots shared by both fused problems.
 
-    Shared by both fused problems, which keep their chains' interval
-    counts in ``_p_counts`` / ``_q_counts`` (viewed by ``_state_view``).
+    Both keep their chains' interval counts in ``_p_counts`` /
+    ``_q_counts`` (viewed by ``_state_view``) and stage one structured
+    interval-transfer move per chain from the block uniforms in
+    ``_uniforms``.
     """
 
     num_intervals: int
     _p_counts: np.ndarray
     _q_counts: np.ndarray
     _state_view: BatchedStrategyState
+    _uniforms: np.ndarray
+    _moves: Optional[TransferMoveBatch] = None
+
+    def _stage_moves(self, step: int) -> TransferMoveBatch:
+        """Sample the ``step``-th move of the block and keep it for :meth:`_apply_moves`."""
+        u_player, u_donor, u_receiver = self._uniforms[:, step]
+        self._moves = sample_transfer_moves(
+            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
+        )
+        return self._moves
+
+    def _apply_moves(self, accept: np.ndarray) -> None:
+        """Fold the staged move into the accepted chains' counts."""
+        assert self._moves is not None
+        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
+        self._moves = None
 
     def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._p_counts.copy(), self._q_counts.copy()
@@ -169,60 +139,34 @@ class _CountBuffers:
 
 
 class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState]):
-    """MAX-QUBO minimisation on the fused in-place kernel.
+    """MAX-QUBO minimisation on the fused kernel by full evaluation.
 
     The chains' interval counts live in problem-owned ``(B, n)`` /
-    ``(B, m)`` buffers; every iteration stages one structured
+    ``(B, m)`` buffers.  Every iteration stages one structured
     interval-transfer move per chain (:class:`TransferMoveBatch`,
-    sampled from pre-drawn block uniforms) and computes candidate
-    energies either
+    sampled from pre-drawn block uniforms), applies it to a
+    double-buffered candidate state and scores that state with
+    ``evaluator.evaluate_batch``: ``O(B·n·m)`` per iteration.
 
-    * ``evaluation="delta"`` — through the evaluator's
-      :class:`~repro.core.max_qubo.StackedIncrementalState` rank-1 cache,
-      ``O(B·(n+m))`` per iteration, periodically resynced; or
-    * ``evaluation="full"`` — through ``evaluator.evaluate_batch`` on a
-      double-buffered candidate state, ``O(B·n·m)`` per iteration.
-
-    Both modes consume identical randomness, so at exactly representable
-    payoffs (integer payoffs, power-of-two ``I``) they produce identical
-    accept/reject sequences and equilibria.
-
-    Rank-1 updates only pay off once a full ``O(n·m)`` product costs more
-    than the delta bookkeeping, so ``evaluation="delta"`` falls back to
-    full products for games with fewer than ``min_incremental_cells``
-    payoff cells (the measured crossover; pass ``0`` to force incremental
-    updates regardless of size, e.g. in equivalence tests).
+    This is the path for any evaluator: the hardware evaluator, whose
+    objective is a physical two-phase read, custom evaluators, and
+    ideal games below :data:`MIN_INCREMENTAL_CELLS`.
+    :class:`MultiGameFusedProblem` is the rank-1 delta counterpart.
+    Both consume identical randomness, so at exactly representable
+    payoffs (integer payoffs, power-of-two ``I``) they produce
+    identical accept/reject sequences and equilibria.
     """
-
-    #: Payoff-cell count below which delta evaluation uses full products.
-    MIN_INCREMENTAL_CELLS = 36
 
     def __init__(
         self,
         evaluator: ObjectiveEvaluator,
         num_intervals: int,
         pure_start_bias: float = 0.5,
-        evaluation: str = "delta",
-        min_incremental_cells: Optional[int] = None,
     ) -> None:
-        if evaluation not in ("delta", "full"):
-            raise ValueError(f"evaluation must be 'delta' or 'full', got {evaluation!r}")
-        if evaluation == "delta" and not evaluator.supports_incremental():
-            raise ValueError(
-                f"{type(evaluator).__name__} does not support incremental (delta) "
-                "evaluation; use evaluation='full' or the VectorizedAnnealer path"
-            )
         self.evaluator = evaluator
         self.num_intervals = num_intervals
         self.pure_start_bias = pure_start_bias
-        self.evaluation = evaluation
         self._shape = evaluator.game.shape
-        if min_incremental_cells is None:
-            min_incremental_cells = self.MIN_INCREMENTAL_CELLS
-        n, m = self._shape
-        self._use_incremental = evaluation == "delta" and n * m >= min_incremental_cells
-        self._incremental = None
-        self._moves: Optional[TransferMoveBatch] = None
 
     # ------------------------------------------------------------------
     # FusedBatchProblem interface
@@ -243,9 +187,6 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
         self._state_view = BatchedStrategyState(
             self._p_counts, self._q_counts, self.num_intervals
         )
-        if self._use_incremental:
-            self._incremental = self.evaluator.incremental_state(self._state_view)
-            return self._incremental.energies()
         self._cand_p = self._p_counts.copy()
         self._cand_q = self._q_counts.copy()
         self._cand_view = BatchedStrategyState(
@@ -259,48 +200,33 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
         self._uniforms = rng.random((3, num_steps, self._p_counts.shape[0]))
 
     def propose(self, step: int) -> np.ndarray:
-        u_player, u_donor, u_receiver = self._uniforms[:, step]
-        moves = sample_transfer_moves(
-            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
-        )
-        self._moves = moves
-        if self._incremental is not None:
-            return self._incremental.candidate_energies(moves)
+        moves = self._stage_moves(step)
         np.copyto(self._cand_p, self._p_counts)
         np.copyto(self._cand_q, self._q_counts)
         moves.apply(self._cand_p, self._cand_q)
         return np.asarray(self.evaluator.evaluate_batch(self._cand_view), dtype=float)
 
     def commit(self, accept: np.ndarray) -> None:
-        assert self._moves is not None
-        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
-        if self._incremental is not None:
-            self._incremental.commit(accept)
-        self._moves = None
-
-    def resync(self) -> Optional[np.ndarray]:
-        if self._incremental is None:
-            return None
-        return self._incremental.resync(self._state_view)
+        self._apply_moves(accept)
 
 
 class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrategyState]):
-    """Chains of several same-shape games fused into one kernel launch.
+    """Rank-1 delta evaluation for one or many same-shape games.
 
     One launch per game: launch ``j``'s chains anneal against
     ``evaluators[j]``'s game through a
     :class:`~repro.core.max_qubo.StackedIncrementalState` whose
-    per-iteration math gathers each chain's own payoff matrices.  Every
-    launch draws from its own generator in the exact solo order
-    (initial states, then per block proposal uniforms followed by
-    acceptance uniforms), so each launch's chains are bit-identical to
-    a solo :class:`FusedTwoPhaseProblem` run with the same seed.
+    per-iteration math gathers each chain's own payoff matrices,
+    ``O(B·(n+m))`` per iteration, periodically resynced.  Every launch
+    draws from its own generator in the solo order (initial states,
+    then per block proposal uniforms followed by acceptance uniforms),
+    so each launch's chains are bit-identical to a one-launch run with
+    the same seed; a solo delta launch *is* a one-launch run.
 
-    Only the incremental (delta) evaluation path exists here: full
-    evaluation batches the ``O(n·m)`` products per *game*, which would
-    change BLAS summation shapes and break bit-identity, and small
-    games below the incremental crossover are cheap enough to run solo.
-    Callers gate on :func:`fused_multi_supported`.
+    The proposals and uniforms are those of :class:`FusedTwoPhaseProblem`,
+    so at exactly representable payoffs the two problems produce
+    identical accept/reject sequences.  Only ideal evaluators have the
+    incremental caches; callers gate on :func:`fused_multi_supported`.
     """
 
     def __init__(
@@ -327,7 +253,6 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
         self.num_intervals = num_intervals
         self.pure_start_bias = pure_start_bias
         self._shape = shape
-        self._moves: Optional[TransferMoveBatch] = None
 
     # ------------------------------------------------------------------
     # MultiFusedBatchProblem interface
@@ -345,8 +270,8 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
         q_parts: List[np.ndarray] = []
         sizes: List[int] = []
         for size, rng in launches:
-            # The solo initial draw of FusedTwoPhaseProblem.begin, from
-            # this launch's own generator.
+            # The initial draw of FusedTwoPhaseProblem.begin, from this
+            # launch's own generator.
             states = BatchedStrategyState.random(
                 size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
             )
@@ -386,40 +311,41 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
     # FusedBatchProblem interface (shared stage/commit cycle)
     # ------------------------------------------------------------------
     def propose(self, step: int) -> np.ndarray:
-        u_player, u_donor, u_receiver = self._uniforms[:, step]
-        moves = sample_transfer_moves(
-            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
-        )
-        self._moves = moves
-        return self._incremental.candidate_energies(moves)
+        return self._incremental.candidate_energies(self._stage_moves(step))
 
     def commit(self, accept: np.ndarray) -> None:
-        assert self._moves is not None
-        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
+        self._apply_moves(accept)
         self._incremental.commit(accept)
-        self._moves = None
 
     def resync(self) -> Optional[np.ndarray]:
         return self._incremental.resync(self._state_view)
 
 
 def fused_multi_supported(config: CNashConfig, shape: Tuple[int, int]) -> bool:
-    """Whether a multi-game fused launch reproduces the solo kernel bit-for-bit.
+    """Whether chains of ``shape`` games under ``config`` run delta evaluation.
 
-    True exactly when the solo :func:`run_two_phase_sa_batch` would take
-    the fused incremental (delta) path with an exact evaluator: the
-    multi launch replays each launch's RNG stream through the same
-    per-chain math, so any configuration outside that path (hardware
-    noise, both-player moves, full evaluation, games below the
-    incremental crossover) must keep solo dispatch.
+    True exactly when :func:`run_two_phase_sa_batch` would send the
+    solver's evaluator to :func:`run_two_phase_sa_multi`: vectorized
+    execution with the exact evaluator (the hardware datapath has no
+    incremental caches) on games of at least
+    :data:`MIN_INCREMENTAL_CELLS` payoff cells.  Same-shape games that
+    pass may then share one launch bit-for-bit.
     """
     n, m = shape
     return (
         config.execution == "vectorized"
-        and config.evaluation == "delta"
-        and not config.move_both_players
         and not config.use_hardware
-        and n * m >= FusedTwoPhaseProblem.MIN_INCREMENTAL_CELLS
+        and n * m >= MIN_INCREMENTAL_CELLS
+    )
+
+
+def _annealing_config(config: CNashConfig) -> AnnealingConfig:
+    """The engine-level configuration of a C-Nash run."""
+    return AnnealingConfig(
+        num_iterations=config.num_iterations,
+        schedule=config.schedule(),
+        acceptance=config.acceptance,
+        record_history=config.record_history,
     )
 
 
@@ -429,7 +355,7 @@ def run_two_phase_sa_multi(
     launches: Sequence[Tuple[int, SeedLike]],
     callback=None,
 ) -> BatchAnnealingResult[BatchedStrategyState]:
-    """Run several games' chain batches as one fused kernel launch.
+    """Run one or several games' chain batches as one delta kernel launch.
 
     ``launches[j] = (num_runs, seed)`` pairs with ``evaluators[j]``; the
     stacked result holds launch ``j``'s chains at offset
@@ -446,15 +372,7 @@ def run_two_phase_sa_multi(
         num_intervals=config.num_intervals,
         pure_start_bias=config.pure_start_bias,
     )
-    annealer = FusedAnnealer(
-        problem,
-        AnnealingConfig(
-            num_iterations=config.num_iterations,
-            schedule=config.schedule(),
-            acceptance=config.acceptance,
-            record_history=config.record_history,
-        ),
-    )
+    annealer = FusedAnnealer(problem, _annealing_config(config))
     return annealer.run_multi(launches, callback=callback)
 
 
@@ -492,18 +410,9 @@ def run_two_phase_sa(
     problem = TwoPhaseAnnealingProblem(
         evaluator=evaluator,
         num_intervals=config.num_intervals,
-        move_generator=StrategyMoveGenerator(move_both_players=config.move_both_players),
         pure_start_bias=config.pure_start_bias,
     )
-    annealer = SimulatedAnnealer(
-        problem,
-        AnnealingConfig(
-            num_iterations=config.num_iterations,
-            schedule=config.schedule(),
-            acceptance=config.acceptance,
-            record_history=config.record_history,
-        ),
-    )
+    annealer = SimulatedAnnealer(problem, _annealing_config(config))
     result = annealer.run(seed=seed, initial_state=initial_state)
     return TwoPhaseSARun(result=result)
 
@@ -513,51 +422,31 @@ def run_two_phase_sa_batch(
     config: CNashConfig,
     num_runs: int,
     seed: SeedLike = None,
-    initial_states: Optional[BatchedStrategyState] = None,
     callback=None,
 ) -> BatchAnnealingResult[BatchedStrategyState]:
     """Run ``num_runs`` independent Alg.-1 chains in lockstep.
 
     The vectorized counterpart of calling :func:`run_two_phase_sa`
     ``num_runs`` times: every iteration proposes one move per chain and
-    evaluates all objectives as a single stacked computation.  The whole
-    batch is reproducible from a single ``seed``.
+    evaluates all objectives as a single stacked computation on the
+    fused kernel (:class:`~repro.annealing.vectorized.FusedAnnealer`).
+    The whole batch is reproducible from a single ``seed``.
 
-    Execution routes through the fused in-place kernel
-    (:class:`~repro.annealing.vectorized.FusedAnnealer` driving
-    :class:`FusedTwoPhaseProblem`) whenever the evaluator supports it:
-    single-player moves and, for ``config.evaluation == "delta"``, an
-    evaluator advertising :meth:`ObjectiveEvaluator.supports_incremental`.
-    The hardware evaluator (whose objective is a physical two-phase
-    read), custom evaluators without incremental support and
-    ``move_both_players`` runs keep the full-evaluation
-    :class:`~repro.annealing.vectorized.VectorizedAnnealer` path
-    unchanged.
+    The evaluation strategy follows from what the evaluator supports:
+    an evaluator with incremental caches
+    (:meth:`ObjectiveEvaluator.supports_incremental`) on a game of at
+    least :data:`MIN_INCREMENTAL_CELLS` payoff cells runs rank-1 delta
+    evaluation as a one-launch :func:`run_two_phase_sa_multi`; every
+    other case (the hardware evaluator, custom evaluators, small ideal
+    games) runs full evaluation on :class:`FusedTwoPhaseProblem`.
     """
-    annealing_config = AnnealingConfig(
-        num_iterations=config.num_iterations,
-        schedule=config.schedule(),
-        acceptance=config.acceptance,
-        record_history=config.record_history,
-    )
-    if not config.move_both_players and evaluator.supports_incremental():
-        problem = FusedTwoPhaseProblem(
-            evaluator=evaluator,
-            num_intervals=config.num_intervals,
-            pure_start_bias=config.pure_start_bias,
-            evaluation=config.evaluation,
-        )
-        annealer = FusedAnnealer(problem, annealing_config)
-        return annealer.run(
-            num_runs, seed=seed, initial_states=initial_states, callback=callback
-        )
-    legacy_problem = BatchTwoPhaseAnnealingProblem(
+    n, m = evaluator.game.shape
+    if evaluator.supports_incremental() and n * m >= MIN_INCREMENTAL_CELLS:
+        return run_two_phase_sa_multi([evaluator], config, [(num_runs, seed)], callback)
+    problem = FusedTwoPhaseProblem(
         evaluator=evaluator,
         num_intervals=config.num_intervals,
-        move_both_players=config.move_both_players,
         pure_start_bias=config.pure_start_bias,
     )
-    legacy_annealer = VectorizedAnnealer(legacy_problem, annealing_config)
-    return legacy_annealer.run(
-        num_runs, seed=seed, initial_states=initial_states, callback=callback
-    )
+    annealer = FusedAnnealer(problem, _annealing_config(config))
+    return annealer.run(num_runs, seed=seed, callback=callback)

@@ -242,13 +242,11 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
         except Exception as exc:  # noqa: BLE001 - per-job isolation boundary
             _fail(index, exc, request, "materialize")
 
-    # One fused kernel launch per same-shape group of two or more
-    # shards; each shard keeps its own RNG stream inside the launch, so
-    # the per-shard batches are bit-identical to solo execution.
+    # One fused kernel launch per same-shape group of shards (a group of
+    # one is the solo launch itself); each shard keeps its own RNG stream
+    # inside the launch, so the per-shard batches are bit-identical to
+    # solo execution.
     for entries in fusable.values():
-        if len(entries) < 2:
-            solo.extend(entries)
-            continue
         shards = [(game, runs, seed) for _, _, _, runs, seed, game in entries]
         config = effective_config(entries[0][2])
         try:
@@ -283,7 +281,8 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             except Exception as exc:  # noqa: BLE001 - per-job isolation boundary
                 _fail(index, exc, request, "settle")
 
-    # Singleton / ineligible jobs run exactly the per-job worker code.
+    # Shards that cannot fuse and generic jobs run exactly the per-job
+    # worker code.
     for index, kind, request, runs, seed, _ in solo:
         try:
             fault_point("kernel", key=request.fingerprint(),

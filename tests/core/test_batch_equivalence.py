@@ -10,15 +10,17 @@ matching success rates on the paper's games.
 import numpy as np
 import pytest
 
+from repro.annealing import AnnealingConfig, FusedAnnealer
 from repro.core import (
     BatchedStrategyState,
     CNashConfig,
     CNashSolver,
+    FusedTwoPhaseProblem,
     HardwareEvaluator,
     IdealEvaluator,
     QuantizedStrategyPair,
     max_qubo_objective,
-    run_two_phase_sa_batch,
+    sample_transfer_moves,
 )
 from repro.games import battle_of_the_sexes, bird_game, matching_pennies
 from repro.games.generators import random_game
@@ -39,28 +41,29 @@ class TestBatchedStrategyState:
         np.testing.assert_array_equal(states.q_counts.sum(axis=1), 8)
 
     def test_transfer_moves_preserve_simplex(self, bird):
+        """Sampled moves applied for 50 steps keep every row on the simplex."""
         states = random_batch(bird, 6, 128, seed=1)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            states = states.transfer_moves(rng)
+            moves = sample_transfer_moves(states.p_counts, states.q_counts, *rng.random((3, 128)))
+            moves.apply(states.p_counts, states.q_counts)
         states.validate()
-        # Each move changes exactly one player's counts by a +-1 transfer.
         assert np.all(states.p_counts >= 0)
         assert np.all(states.q_counts >= 0)
 
     def test_transfer_moves_change_exactly_one_player_per_chain(self, bos):
+        """Each move is a +-1 transfer between two actions of one player."""
         states = random_batch(bos, 8, 100, seed=3)
-        moved = states.transfer_moves(np.random.default_rng(4))
-        p_changed = np.any(moved.p_counts != states.p_counts, axis=1)
-        q_changed = np.any(moved.q_counts != states.q_counts, axis=1)
-        assert np.all(p_changed ^ q_changed)
-
-    def test_move_both_players(self, bird):
-        states = random_batch(bird, 6, 50, seed=5)
-        moved = states.transfer_moves(np.random.default_rng(6), move_both_players=True)
-        moved.validate()
-        assert np.any(moved.p_counts != states.p_counts)
-        assert np.any(moved.q_counts != states.q_counts)
+        moved = BatchedStrategyState(states.p_counts.copy(), states.q_counts.copy(), 8)
+        uniforms = np.random.default_rng(4).random((3, 100))
+        sample_transfer_moves(moved.p_counts, moved.q_counts, *uniforms).apply(
+            moved.p_counts, moved.q_counts
+        )
+        p_change = np.abs(moved.p_counts - states.p_counts).sum(axis=1)
+        q_change = np.abs(moved.q_counts - states.q_counts).sum(axis=1)
+        assert np.all((p_change == 0) ^ (q_change == 0))
+        assert np.all(p_change + q_change == 2)
+        np.testing.assert_array_equal(p_change > 0, uniforms[0] < 0.5)
 
     def test_from_pairs_and_state_round_trip(self):
         pairs = [
@@ -71,12 +74,6 @@ class TestBatchedStrategyState:
         for index, pair in enumerate(pairs):
             np.testing.assert_array_equal(states.state(index).p_counts, pair.p_counts)
             np.testing.assert_array_equal(states.state(index).q_counts, pair.q_counts)
-
-    def test_where_merges_per_chain(self):
-        a = BatchedStrategyState(np.array([[4, 0], [4, 0]]), np.array([[4, 0], [4, 0]]), 4)
-        b = BatchedStrategyState(np.array([[0, 4], [0, 4]]), np.array([[0, 4], [0, 4]]), 4)
-        merged = BatchedStrategyState.where(np.array([True, False]), a, b)
-        np.testing.assert_array_equal(merged.p_counts, [[4, 0], [0, 4]])
 
     def test_broadcast(self):
         pair = QuantizedStrategyPair(np.array([2, 2]), np.array([1, 3]), 4)
@@ -195,13 +192,14 @@ class TestExecutionEquivalence:
 
     def test_initial_states_respected_by_batch_runner(self, bos):
         """Seeding every chain at the equilibrium keeps the best there."""
-        config = CNashConfig(num_intervals=4, num_iterations=5)
         start = QuantizedStrategyPair(np.array([4, 0]), np.array([4, 0]), 4)
         states = BatchedStrategyState.broadcast(start, 6)
-        result = run_two_phase_sa_batch(
-            IdealEvaluator(bos), config, num_runs=6, seed=0, initial_states=states
+        annealer = FusedAnnealer(
+            FusedTwoPhaseProblem(IdealEvaluator(bos), 4), AnnealingConfig(num_iterations=5)
         )
+        result = annealer.run(6, seed=0, initial_states=states)
         np.testing.assert_allclose(result.best_energies, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(result.best_states.p_counts, states.p_counts)
 
     def test_execution_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
-"""Delta-vs-full equivalence of the incremental annealing kernel.
+"""Delta-vs-full equivalence of the fused annealing kernel.
 
-The incremental (rank-1) evaluation path must be a pure cost
-optimisation: on the fused kernel both evaluation modes consume
-identical randomness, so with exactly representable payoffs (integer
-payoffs, power-of-two ``I``) delta and full evaluation must produce
+Rank-1 delta evaluation (:class:`MultiGameFusedProblem`) must be a pure
+cost optimisation over full evaluation (:class:`FusedTwoPhaseProblem`):
+both consume identical randomness, so with exactly representable
+payoffs (integer payoffs, power-of-two ``I``) they must produce
 *identical* accept/reject sequences, energies and equilibria.  With
 arbitrary float payoffs the delta path may drift by rounding, which the
 periodic resync bounds — guarded here over long runs.
@@ -24,9 +24,9 @@ from repro.core import (
     run_two_phase_sa_batch,
     sample_transfer_moves,
 )
-from repro.core.strategy import _batched_transfer
+from repro.core.max_qubo import StackedIncrementalState
+from repro.core.two_phase_sa import MultiGameFusedProblem, run_two_phase_sa_multi
 from repro.games.generators import random_game
-from repro.hardware import IDEAL_VARIABILITY
 
 
 def integer_game(n, m, seed):
@@ -34,16 +34,25 @@ def integer_game(n, m, seed):
 
 
 def run_fused(game, num_intervals, evaluation, batch_size, num_iterations, seed, **kwargs):
-    problem = FusedTwoPhaseProblem(
-        IdealEvaluator(game),
-        num_intervals,
-        evaluation=evaluation,
-        min_incremental_cells=0,
-    )
-    annealer = FusedAnnealer(
-        problem, AnnealingConfig(num_iterations=num_iterations), **kwargs
-    )
-    return annealer.run(batch_size, seed=seed)
+    """One fused launch by rank-1 delta or by full evaluation, at any game size."""
+    evaluator = IdealEvaluator(game)
+    config = AnnealingConfig(num_iterations=num_iterations)
+    if evaluation == "delta":
+        problem = MultiGameFusedProblem([evaluator], num_intervals)
+        return FusedAnnealer(problem, config, **kwargs).run_multi([(batch_size, seed)])
+    problem = FusedTwoPhaseProblem(evaluator, num_intervals)
+    return FusedAnnealer(problem, config, **kwargs).run(batch_size, seed=seed)
+
+
+def assert_same_chains(a, b):
+    """Every per-chain array of two stacked results is equal."""
+    for name in ("best_energies", "final_energies", "num_accepted", "iterations_to_best"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for states in ("best_states", "final_states"):
+        for counts in ("p_counts", "q_counts"):
+            np.testing.assert_array_equal(
+                getattr(getattr(a, states), counts), getattr(getattr(b, states), counts)
+            )
 
 
 class TestDeltaFullBitIdentity:
@@ -56,22 +65,7 @@ class TestDeltaFullBitIdentity:
         game = integer_game(n, m, seed=n * 100 + m)
         delta = run_fused(game, num_intervals, "delta", batch_size, 1500, seed=11)
         full = run_fused(game, num_intervals, "full", batch_size, 1500, seed=11)
-        np.testing.assert_array_equal(delta.num_accepted, full.num_accepted)
-        np.testing.assert_array_equal(delta.iterations_to_best, full.iterations_to_best)
-        np.testing.assert_array_equal(delta.best_energies, full.best_energies)
-        np.testing.assert_array_equal(delta.final_energies, full.final_energies)
-        np.testing.assert_array_equal(
-            delta.final_states.p_counts, full.final_states.p_counts
-        )
-        np.testing.assert_array_equal(
-            delta.final_states.q_counts, full.final_states.q_counts
-        )
-        np.testing.assert_array_equal(
-            delta.best_states.p_counts, full.best_states.p_counts
-        )
-        np.testing.assert_array_equal(
-            delta.best_states.q_counts, full.best_states.q_counts
-        )
+        assert_same_chains(delta, full)
 
     def test_identity_survives_every_iteration_resync(self):
         """Resyncing after every iteration must not change a dyadic run."""
@@ -81,27 +75,19 @@ class TestDeltaFullBitIdentity:
         np.testing.assert_array_equal(base.best_energies, resynced.best_energies)
         np.testing.assert_array_equal(base.num_accepted, resynced.num_accepted)
 
-    def test_solver_equilibria_identical_through_config_knob(self):
-        """`CNashConfig.evaluation` flips the kernel without changing results."""
+    def test_solver_equilibria_identical_to_full_evaluation(self):
+        """The solver's delta route reproduces full evaluation run for run."""
         game = integer_game(8, 8, seed=21)
-        outcomes = {}
-        for evaluation in ("delta", "full"):
-            config = CNashConfig(
-                num_intervals=8, num_iterations=800, evaluation=evaluation
-            )
-            batch = CNashSolver(game, config).solve_batch(num_runs=40, seed=5)
-            outcomes[evaluation] = batch
-        a, b = outcomes["delta"], outcomes["full"]
-        assert [run.best_objective for run in a.runs] == [
-            run.best_objective for run in b.runs
-        ]
-        for run_a, run_b in zip(a.runs, b.runs):
-            np.testing.assert_array_equal(
-                run_a.best_state.p_counts, run_b.best_state.p_counts
-            )
-            np.testing.assert_array_equal(
-                run_a.best_state.q_counts, run_b.best_state.q_counts
-            )
+        config = CNashConfig(num_intervals=8, num_iterations=800)
+        batch = CNashSolver(game, config).solve_batch(num_runs=40, seed=5)
+        full = FusedAnnealer(
+            FusedTwoPhaseProblem(IdealEvaluator(game), 8),
+            AnnealingConfig(num_iterations=800, schedule=config.schedule()),
+        ).run(40, seed=5)
+        assert [run.best_objective for run in batch.runs] == full.best_energies.tolist()
+        for index, run in enumerate(batch.runs):
+            np.testing.assert_array_equal(run.best_state.p_counts, full.best_states.p_counts[index])
+            np.testing.assert_array_equal(run.best_state.q_counts, full.best_states.q_counts[index])
 
 
 class TestDriftGuard:
@@ -109,13 +95,12 @@ class TestDriftGuard:
         """Float payoffs, non-dyadic I: cached energies stay honest."""
         game = random_game(7, 9, seed=33)  # non-integer payoffs
         evaluator = IdealEvaluator(game)
-        problem = FusedTwoPhaseProblem(
-            evaluator, 6, evaluation="delta", min_incremental_cells=0
-        )
         annealer = FusedAnnealer(
-            problem, AnnealingConfig(num_iterations=6000), resync_interval=512
+            MultiGameFusedProblem([evaluator], 6),
+            AnnealingConfig(num_iterations=6000),
+            resync_interval=512,
         )
-        result = annealer.run(48, seed=17)
+        result = annealer.run_multi([(48, 17)])
         recomputed = evaluator.evaluate_batch(result.final_states)
         np.testing.assert_allclose(result.final_energies, recomputed, atol=1e-9)
 
@@ -125,7 +110,9 @@ class TestDriftGuard:
         evaluator = IdealEvaluator(game)
         rng = np.random.default_rng(0)
         states = BatchedStrategyState.random(16, 5, 4, 6, rng)
-        incremental = evaluator.incremental_state(states)
+        incremental = StackedIncrementalState.from_evaluators(
+            [evaluator], np.zeros(16, dtype=np.int64), states
+        )
         for _ in range(300):
             uniforms = rng.random((3, 16))
             moves = sample_transfer_moves(
@@ -140,29 +127,25 @@ class TestDriftGuard:
         np.testing.assert_array_equal(incremental.resync(states), full)
 
 
-def reference_fused_run(game, num_intervals, batch_size, num_iterations, seed, block_size):
+def reference_fused_run(
+    objective, shape, num_intervals, batch_size, temperatures, seed, block_size
+):
     """Straight-line per-chain replay of the fused kernel's RNG stream.
 
     Consumes randomness in exactly the engine's documented order —
     initial states, then per block the problem's ``(3, steps, B)``
     proposal uniforms followed by the engine's ``(steps, B)`` acceptance
-    uniforms — and evaluates objectives with the scalar reference, so any
-    change to the block layout or move semantics shows up as divergence.
+    uniforms — and scores each chain with the scalar
+    ``objective(p_counts, q_counts)``, so any change to the block layout
+    or move semantics shows up as divergence.
     """
     rng = np.random.default_rng(seed)
-    n, m = game.shape
+    n, m = shape
+    num_iterations = len(temperatures)
     states = BatchedStrategyState.random(batch_size, n, m, num_intervals, rng)
     p_counts = states.p_counts.copy()
     q_counts = states.q_counts.copy()
-    schedule = AnnealingConfig(num_iterations=num_iterations).schedule
-    temperatures = schedule.temperatures(num_iterations)
-
-    def objective(chain):
-        return max_qubo_objective(
-            game, p_counts[chain] / num_intervals, q_counts[chain] / num_intervals
-        )
-
-    energies = np.array([objective(chain) for chain in range(batch_size)])
+    energies = np.array([objective(p_counts[chain], q_counts[chain]) for chain in range(batch_size)])
     best = energies.copy()
     accepted = np.zeros(batch_size, dtype=int)
     for iteration in range(num_iterations):
@@ -185,7 +168,7 @@ def reference_fused_run(game, num_intervals, batch_size, num_iterations, seed, b
                     target += 1
                 counts[source] -= 1
                 counts[target] += 1
-            candidate_energy = objective(chain)
+            candidate_energy = objective(p_counts[chain], q_counts[chain])
             delta = candidate_energy - energies[chain]
             temperature = temperatures[iteration]
             accept = delta <= 0 or (
@@ -204,6 +187,7 @@ def reference_fused_run(game, num_intervals, batch_size, num_iterations, seed, b
 
 
 class TestBlockRngDeterminism:
+    @pytest.mark.parametrize("route", ["delta", "full", "batch-ideal", "batch-custom"])
     @pytest.mark.parametrize(
         "n,m,num_intervals",
         [
@@ -214,23 +198,41 @@ class TestBlockRngDeterminism:
             (2, 3, 16),  # I far above both action counts
         ],
     )
-    def test_fused_kernel_matches_scalar_reference(self, n, m, num_intervals):
-        """The block-sampled stream replays chain by chain.
+    def test_fused_kernel_matches_scalar_reference(self, n, m, num_intervals, route):
+        """The block-sampled stream replays chain by chain on every route.
 
-        ``I`` stays a power of two so the integer payoffs keep every
-        delta update exact and the scalar objectives compare bit for bit.
+        ``delta`` is a one-launch :class:`MultiGameFusedProblem` and
+        ``full`` a :class:`FusedTwoPhaseProblem`, both at block size 32;
+        the ``batch-*`` routes go through :func:`run_two_phase_sa_batch`
+        (block size 128) with the ideal evaluator, which picks delta or
+        full by size, and with a custom evaluator, which always runs
+        full.  ``I`` stays a power of two so the integer payoffs keep
+        every update exact and the scalar objectives compare bit for bit.
         """
         game = integer_game(n, m, seed=2)
+        config = CNashConfig(num_intervals=num_intervals, num_iterations=150)
+        annealing = AnnealingConfig(num_iterations=150, schedule=config.schedule())
+        block_size = 32
+        if route == "delta":
+            problem = MultiGameFusedProblem([IdealEvaluator(game)], num_intervals)
+            result = FusedAnnealer(problem, annealing, block_size=32).run_multi([(6, 123)])
+        elif route == "full":
+            problem = FusedTwoPhaseProblem(IdealEvaluator(game), num_intervals)
+            result = FusedAnnealer(problem, annealing, block_size=32).run(6, seed=123)
+        else:
+            block_size = 128
+            evaluator = IdealEvaluator(game) if route == "batch-ideal" else _OffsetEvaluator(game)
+            result = run_two_phase_sa_batch(evaluator, config, num_runs=6, seed=123)
+        offset = 1.0 if route == "batch-custom" else 0.0
+
+        def objective(p_counts, q_counts):
+            p, q = p_counts / num_intervals, q_counts / num_intervals
+            return max_qubo_objective(game, p, q) + offset
+
         best, accepted, p_counts, q_counts = reference_fused_run(
-            game, num_intervals, batch_size=6, num_iterations=150, seed=123, block_size=32
+            objective, (n, m), num_intervals, 6, annealing.schedule.temperatures(150),
+            seed=123, block_size=block_size,
         )
-        problem = FusedTwoPhaseProblem(
-            IdealEvaluator(game), num_intervals, evaluation="delta", min_incremental_cells=0
-        )
-        annealer = FusedAnnealer(
-            problem, AnnealingConfig(num_iterations=150), block_size=32
-        )
-        result = annealer.run(6, seed=123)
         np.testing.assert_array_equal(result.best_energies, best)
         np.testing.assert_array_equal(result.num_accepted, accepted)
         np.testing.assert_array_equal(result.final_states.p_counts, p_counts)
@@ -238,27 +240,29 @@ class TestBlockRngDeterminism:
 
     @pytest.mark.parametrize("num_actions,num_intervals", [(2, 3), (9, 4), (40, 4), (6, 30)])
     def test_batched_transfer_moves_the_pick_th_positive_action(self, num_actions, num_intervals):
-        """The legacy sampler's donor is the ``pick``-th action holding an interval."""
+        """The sampler's donor is the ``pick``-th action holding an interval."""
         rng = np.random.default_rng(num_actions)
-        counts = rng.multinomial(num_intervals, np.full(num_actions, 1.0 / num_actions), size=64)
-        move_mask = rng.random(64) < 0.7
-        seed_state = rng.bit_generator.state
-        moved = counts.copy()
-        _batched_transfer(moved, move_mask, rng)
-        # Replay the sampler's two draws per chain with np.flatnonzero.
-        replay = np.random.default_rng()
-        replay.bit_generator.state = seed_state
-        u_donor = replay.random(64)
-        receivers = replay.integers(0, num_actions - 1, size=64)
-        expected = counts.copy()
-        for chain in np.flatnonzero(move_mask):
-            positive = np.flatnonzero(counts[chain] > 0)
+        uniform = np.full(num_actions, 1.0 / num_actions)
+        p_counts = rng.multinomial(num_intervals, uniform, size=64)
+        q_counts = rng.multinomial(num_intervals, uniform, size=64)
+        u_player, u_donor, u_receiver = rng.random((3, 64))
+        moved_p, moved_q = p_counts.copy(), q_counts.copy()
+        sample_transfer_moves(p_counts, q_counts, u_player, u_donor, u_receiver).apply(
+            moved_p, moved_q
+        )
+        # Replay each chain's move with np.flatnonzero.
+        expected_p, expected_q = p_counts.copy(), q_counts.copy()
+        for chain in range(64):
+            counts = expected_p[chain] if u_player[chain] < 0.5 else expected_q[chain]
+            positive = np.flatnonzero(counts > 0)
             pick = min(int(u_donor[chain] * positive.size), positive.size - 1)
             donor = positive[pick]
-            receiver = receivers[chain] + (receivers[chain] >= donor)
-            expected[chain, donor] -= 1
-            expected[chain, receiver] += 1
-        np.testing.assert_array_equal(moved, expected)
+            receiver = min(int(u_receiver[chain] * (num_actions - 1)), num_actions - 2)
+            receiver += receiver >= donor
+            counts[donor] -= 1
+            counts[receiver] += 1
+        np.testing.assert_array_equal(moved_p, expected_p)
+        np.testing.assert_array_equal(moved_q, expected_q)
 
     def test_batch_reproducible_from_seed_through_solver(self):
         game = integer_game(6, 6, seed=4)
@@ -286,65 +290,54 @@ class _OffsetEvaluator(ObjectiveEvaluator):
         return self._ideal.evaluate(state) + 1.0
 
 
-class TestFallbackPaths:
-    def test_hardware_solves_unaffected_by_evaluation_knob(self, bos):
-        """The hardware path keeps full two-phase reads either way."""
-        outcomes = {}
-        for evaluation in ("delta", "full"):
-            config = CNashConfig(
-                num_intervals=4,
-                num_iterations=300,
-                use_hardware=True,
-                evaluation=evaluation,
-            )
-            solver = CNashSolver(bos, config, variability=IDEAL_VARIABILITY, seed=5)
-            assert not solver.evaluator.supports_incremental()
-            outcomes[evaluation] = solver.solve_batch(num_runs=8, seed=2)
-        assert [run.best_objective for run in outcomes["delta"].runs] == [
-            run.best_objective for run in outcomes["full"].runs
-        ]
+class TestRouting:
+    @pytest.mark.parametrize("n,m,route", [(5, 7, "full"), (6, 6, "delta"), (9, 4, "delta")])
+    def test_batch_runner_routes_on_the_incremental_crossover(self, n, m, route):
+        """Ideal games of at least 36 cells take the one-launch delta run."""
+        game = random_game(n, m, seed=n * 10 + m)  # float payoffs
+        config = CNashConfig(num_intervals=6, num_iterations=1100, record_history=True)
+        routed = run_two_phase_sa_batch(IdealEvaluator(game), config, num_runs=8, seed=4)
+        if route == "delta":
+            expected = run_two_phase_sa_multi([IdealEvaluator(game)], config, [(8, 4)])
+            assert routed.num_resyncs == expected.num_resyncs == 1
+        else:
+            expected = FusedAnnealer(
+                FusedTwoPhaseProblem(IdealEvaluator(game), 6),
+                AnnealingConfig(
+                    num_iterations=1100, schedule=config.schedule(), record_history=True
+                ),
+            ).run(8, seed=4)
+        assert_same_chains(routed, expected)
+        np.testing.assert_array_equal(routed.energy_history, expected.energy_history)
 
+    def test_hardware_route_is_fused_full_evaluation(self, bos):
+        """Hardware batches are a FusedTwoPhaseProblem launch, read noise included."""
+        config = CNashConfig(num_intervals=4, num_iterations=300, use_hardware=True)
+        batch = CNashSolver(bos, config, seed=5).solve_batch(num_runs=8, seed=2)
+        evaluator = CNashSolver(bos, config, seed=5).evaluator
+        assert not evaluator.supports_incremental()
+        direct = FusedAnnealer(
+            FusedTwoPhaseProblem(evaluator, 4),
+            AnnealingConfig(num_iterations=300, schedule=config.schedule()),
+        ).run(8, seed=2)
+        assert [run.best_objective for run in batch.runs] == direct.best_energies.tolist()
+        assert [run.iterations_to_best for run in batch.runs] == direct.iterations_to_best.tolist()
+        for index, run in enumerate(batch.runs):
+            np.testing.assert_array_equal(run.best_state.p_counts, direct.best_states.p_counts[index])
+            np.testing.assert_array_equal(run.best_state.q_counts, direct.best_states.q_counts[index])
+
+
+class TestFallbackPaths:
     def test_custom_evaluator_falls_back_to_full_evaluation(self, bos):
         evaluator = _OffsetEvaluator(bos)
         assert not evaluator.supports_incremental()
-        config = CNashConfig(num_intervals=4, num_iterations=100, evaluation="delta")
+        config = CNashConfig(num_intervals=4, num_iterations=100)
         result = run_two_phase_sa_batch(evaluator, config, num_runs=4, seed=0)
         assert result.best_energies.shape == (4,)
         # The offset shifts every objective by exactly +1.
         assert np.all(result.best_energies >= 1.0 - 1e-9)
 
-    def test_move_both_players_falls_back_to_legacy_engine(self, bos):
-        config = CNashConfig(
-            num_intervals=4, num_iterations=100, move_both_players=True
-        )
-        result = run_two_phase_sa_batch(
-            IdealEvaluator(bos), config, num_runs=4, seed=0
-        )
-        assert result.best_energies.shape == (4,)
-
     def test_incremental_state_rejected_without_support(self, bos):
-        with pytest.raises(NotImplementedError):
-            _OffsetEvaluator(bos).incremental_state(None)
+        """Delta evaluation refuses an evaluator without incremental caches."""
         with pytest.raises(ValueError, match="does not support incremental"):
-            FusedTwoPhaseProblem(_OffsetEvaluator(bos), 4, evaluation="delta")
-
-
-class TestEvaluationConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="evaluation must be one of"):
-            CNashConfig(evaluation="incremental")
-
-    def test_round_trip_and_default(self):
-        config = CNashConfig(evaluation="full")
-        assert CNashConfig.from_dict(config.to_dict()).evaluation == "full"
-        # Wire dicts predating the knob fall back to the default.
-        legacy = config.to_dict()
-        del legacy["evaluation"]
-        assert CNashConfig.from_dict(legacy).evaluation == "delta"
-
-    def test_fingerprint_covers_evaluation(self, bos):
-        from repro.service.jobs import SolveRequest
-
-        delta = SolveRequest(game=bos, config=CNashConfig(evaluation="delta"))
-        full = SolveRequest(game=bos, config=CNashConfig(evaluation="full"))
-        assert delta.fingerprint() != full.fingerprint()
+            MultiGameFusedProblem([_OffsetEvaluator(bos)], 4)

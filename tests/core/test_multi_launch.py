@@ -3,8 +3,9 @@
 A multi-game launch (``run_two_phase_sa_multi`` / ``solve_shards_fused``)
 is a pure throughput optimisation: every launch keeps its own RNG stream
 and per-chain arithmetic, so each launch's slice of the stacked result
-must equal the solo run of that launch exactly, array for array, on
-float (non-dyadic) payoffs and across incremental-cache resyncs.
+must equal the solo run of that launch — a one-launch run — exactly,
+array for array, on float (non-dyadic) payoffs and across
+incremental-cache resyncs.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing import AnnealingConfig, FusedAnnealer
-from repro.core import CNashConfig, CNashSolver, FusedTwoPhaseProblem, IdealEvaluator
+from repro.core import CNashConfig, CNashSolver, IdealEvaluator
 from repro.core.solver import solve_shards_fused
 from repro.core.two_phase_sa import (
     MultiGameFusedProblem,
@@ -63,7 +64,7 @@ def assert_launch_slice_equal(multi, solo, start):
 )
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_multi_launch_equals_solo_launches(case, num_intervals, num_iterations):
-    """``run_two_phase_sa_multi`` slices equal ``run_two_phase_sa_batch`` per launch."""
+    """``run_two_phase_sa_multi`` slices equal each launch's solo batch run."""
     games, launches = case
     config = CNashConfig(
         num_intervals=num_intervals, num_iterations=num_iterations, record_history=True
@@ -97,10 +98,10 @@ def test_multi_launch_equals_solo_across_resyncs(case, num_intervals, resync_int
     assert multi.num_resyncs == (num_iterations - 1) // resync_interval
     start = 0
     for game, (size, seed) in zip(games, launches):
-        solo_problem = FusedTwoPhaseProblem(IdealEvaluator(game), num_intervals)
+        solo_problem = MultiGameFusedProblem([IdealEvaluator(game)], num_intervals)
         solo = FusedAnnealer(
             solo_problem, config, block_size=block_size, resync_interval=resync_interval
-        ).run(size, seed=seed)
+        ).run_multi([(size, seed)])
         assert_launch_slice_equal(multi, solo, start)
         start += size
 

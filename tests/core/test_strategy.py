@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import QuantizedStrategyPair, StrategyMoveGenerator
+from repro.core import QuantizedStrategyPair, StrategyMoveGenerator, sample_transfer_moves
 
 
 class TestQuantizedStrategyPair:
@@ -68,24 +68,12 @@ class TestStrategyMoveGenerator:
             assert np.all(state.q_counts >= 0)
 
     def test_single_move_changes_one_player(self, rng):
-        generator = StrategyMoveGenerator(move_both_players=False)
+        generator = StrategyMoveGenerator()
         state = QuantizedStrategyPair(np.array([2, 2]), np.array([2, 2]), 4)
         proposal = generator.propose(state, rng)
         p_changed = not np.array_equal(proposal.p_counts, state.p_counts)
         q_changed = not np.array_equal(proposal.q_counts, state.q_counts)
         assert p_changed != q_changed  # exactly one player moves
-
-    def test_both_players_move_when_configured(self, rng):
-        generator = StrategyMoveGenerator(move_both_players=True)
-        state = QuantizedStrategyPair(np.array([2, 2]), np.array([2, 2]), 4)
-        changed_both = 0
-        for _ in range(50):
-            proposal = generator.propose(state, rng)
-            if not np.array_equal(proposal.p_counts, state.p_counts) and not np.array_equal(
-                proposal.q_counts, state.q_counts
-            ):
-                changed_both += 1
-        assert changed_both > 0
 
     def test_move_transfers_exactly_one_interval(self, rng):
         generator = StrategyMoveGenerator()
@@ -97,10 +85,19 @@ class TestStrategyMoveGenerator:
         assert total_change == 2  # one interval removed, one added
 
     def test_single_action_player_is_a_fixed_point(self, rng):
-        generator = StrategyMoveGenerator(move_both_players=True)
+        """A one-action player never moves, in the scalar or the batched sampler."""
+        generator = StrategyMoveGenerator()
         state = QuantizedStrategyPair(np.array([4]), np.array([2, 2]), 4)
-        proposal = generator.propose(state, rng)
-        np.testing.assert_array_equal(proposal.p_counts, [4])
+        for _ in range(20):
+            np.testing.assert_array_equal(generator.propose(state, rng).p_counts, [4])
+        p_counts = np.full((32, 1), 4)
+        q_counts = np.tile([2, 2], (32, 1))
+        u_player = np.linspace(0.0, 0.99, 32)
+        moves = sample_transfer_moves(p_counts, q_counts, u_player, rng.random(32), rng.random(32))
+        assert moves.p_rows.size == 0
+        np.testing.assert_array_equal(moves.q_rows, np.flatnonzero(u_player >= 0.5))
+        moves.apply(p_counts, q_counts)
+        np.testing.assert_array_equal(p_counts, 4)
 
     def test_random_state_valid(self, rng):
         generator = StrategyMoveGenerator()

@@ -109,8 +109,12 @@ class TestWireRoundTrips:
             num_iterations=321,
             initial_temperature=2.0,
             final_temperature=0.01,
-            move_both_players=True,
+            use_hardware=True,
+            cells_per_element=2,
+            adc_bits=8,
+            epsilon=0.05,
             pure_start_bias=0.25,
+            record_history=True,
             execution="sequential",
             acceptance=GlauberAcceptance(),
         )
@@ -154,6 +158,14 @@ class TestValidation:
     def test_bad_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline_s"):
             _request(deadline_s=0.0)
+
+    @pytest.mark.parametrize("key,value", [("evaluation", "full"), ("move_both_players", True)])
+    def test_retired_config_keys_rejected_by_name(self, key, value):
+        """Config keys that once picked a kernel are refused, not ignored."""
+        data = json.loads(json.dumps(_request().to_dict()))
+        data["config"][key] = value
+        with pytest.raises(TypeError, match=key):
+            SolveRequest.from_dict(data)
 
     def test_cacheable_requires_a_seed(self):
         assert _request(seed=0).cacheable

@@ -126,6 +126,20 @@ class TestProtocol:
 
         assert asyncio.run(_with_server(body))
 
+    @pytest.mark.parametrize("key,value", [("evaluation", "full"), ("move_both_players", True)])
+    def test_retired_config_key_is_an_error_and_the_connection_survives(self, key, value):
+        """A solve whose config names a retired kernel knob is refused by name."""
+        async def body(server, client):
+            request = request_for(battle_of_the_sexes()).to_dict()
+            request["config"][key] = value
+            with pytest.raises(ServiceError, match=key):
+                await client.call({"op": "solve", "request": request})
+            # The next request on the same connection is still served.
+            return await client.solve(request_for(battle_of_the_sexes()))
+
+        outcome = asyncio.run(_with_server(body))
+        assert outcome.batch_result().num_runs == 6
+
     def test_unknown_job_id_is_an_error(self):
         async def body(server, client):
             with pytest.raises(ServiceError, match="unknown job"):
