@@ -323,34 +323,36 @@ class StackedIncrementalState:
         self._cand_bilinear = cand_bilinear
         return cand_row_max + cand_col_max - cand_bilinear
 
-    def commit(self, accept: np.ndarray) -> None:
-        """Fold the staged candidate caches into the accepted chains."""
+    def commit(
+        self, accept: np.ndarray, accepted: Optional[TransferMoveBatch] = None
+    ) -> None:
+        """Fold the staged candidate caches into the accepted chains.
+
+        ``accepted`` is the staged batch's ``accepted(accept)`` when the
+        caller has already filtered it; otherwise it is filtered here.
+        """
         moves = self._staged_moves
         if moves is None:
             raise RuntimeError("commit() without a staged candidate_energies() call")
+        if accepted is None:
+            accepted = moves.accepted(accept)
         inv = self._inv_intervals
-        rows = moves.q_rows
+        rows = accepted.q_rows
         if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.q_source[keep]
-                target = moves.q_target[keep]
-                flat = self._flat_combined_cols
-                base = self._chain_base_cols[accepted_rows]
-                self.row_values[accepted_rows] += self._d_row[keep]
-                self.w[accepted_rows] += (flat[base + target] - flat[base + source]) * inv
-        rows = moves.p_rows
+            flat = self._flat_combined_cols
+            base = self._chain_base_cols[rows]
+            self.row_values[rows] += self._d_row[accepted.q_keep]
+            self.w[rows] += (
+                flat[base + accepted.q_target] - flat[base + accepted.q_source]
+            ) * inv
+        rows = accepted.p_rows
         if rows.size:
-            keep = accept[rows]
-            accepted_rows = rows[keep]
-            if accepted_rows.size:
-                source = moves.p_source[keep]
-                target = moves.p_target[keep]
-                flat = self._flat_combined_rows
-                base = self._chain_base_rows[accepted_rows]
-                self.col_values[accepted_rows] += self._d_col[keep]
-                self.u[accepted_rows] += (flat[base + target] - flat[base + source]) * inv
+            flat = self._flat_combined_rows
+            base = self._chain_base_rows[rows]
+            self.col_values[rows] += self._d_col[accepted.p_keep]
+            self.u[rows] += (
+                flat[base + accepted.p_target] - flat[base + accepted.p_source]
+            ) * inv
         np.copyto(self.row_max, self._cand_row_max, where=accept)
         np.copyto(self.col_max, self._cand_col_max, where=accept)
         np.copyto(self.bilinear, self._cand_bilinear, where=accept)

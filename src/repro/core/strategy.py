@@ -102,21 +102,111 @@ class QuantizedStrategyPair:
         return cls(quantizer.to_counts(p), quantizer.to_counts(q), num_intervals)
 
 
-def _nth_positive(
-    positive: np.ndarray, num_positive: np.ndarray, pick: np.ndarray
-) -> np.ndarray:
-    """Column of the ``pick[r]``-th ``True`` of every row ``r`` of ``positive``.
+class ActionSupport:
+    """One player's count array with every chain's positive actions listed.
 
-    ``num_positive`` holds the per-row ``True`` counts and every
-    ``pick[r]`` must lie in ``[0, num_positive[r])``.  Reads the answer
-    out of the flat ``True`` positions (row-major, so ascending within a
-    row) instead of a per-row running count over every cell: the only
-    cumsum runs over the rows.
+    ``actions[b, :size[b]]`` holds, in ascending order, the actions of
+    chain ``b`` that have at least one interval in ``counts[b]``; the
+    remaining slots hold the sentinel ``n`` (the number of actions).
+    ``I`` intervals sit on at most ``min(n, I)`` actions, so the width
+    ``min(n, I) + 1`` leaves every row at least one sentinel slot: the
+    last column is always free.  A move's donor is read out of the list
+    in ``O(1)`` per chain instead of by a scan over all ``n`` counts, and
+    :meth:`transfer` keeps the lists current as moves commit, touching
+    only the moved chains.
     """
-    num_rows, num_cols = positive.shape
-    flat = np.flatnonzero(positive)
-    first = np.cumsum(num_positive) - num_positive
-    return flat[first + pick] - np.arange(0, num_rows * num_cols, num_cols)
+
+    def __init__(self, counts: np.ndarray, num_intervals: Optional[int] = None) -> None:
+        """``num_intervals`` is ``I``; without it the lists are ``n + 1`` wide.
+
+        ``counts`` must be C-contiguous: :meth:`transfer` writes through a
+        flat view of it.
+        """
+        if not counts.flags.c_contiguous:
+            raise ValueError("ActionSupport needs a C-contiguous count array")
+        num_chains, num_actions = counts.shape
+        width = 1 + (num_actions if num_intervals is None else min(num_actions, num_intervals))
+        positive = counts > 0
+        self.counts = counts
+        self.num_actions = num_actions
+        self.size = positive.sum(axis=1)
+        self.actions = np.full((num_chains, width), num_actions, dtype=np.int64)
+        # Row-major positions list each chain's actions in ascending order;
+        # a position minus its chain's first position is the action's slot.
+        chains, positive_actions = np.nonzero(positive)
+        first = np.cumsum(self.size) - self.size
+        self.actions[chains, np.arange(chains.size) - first[chains]] = positive_actions
+        # Flat views and per-chain flat offsets: one flat index reads and
+        # writes the same cells as 2-D advanced indexing, at lower cost.
+        self._flat_counts = counts.reshape(-1)
+        self._flat_actions = self.actions.reshape(-1)
+        self._count_base = np.arange(num_chains) * num_actions
+        self._list_base = np.arange(num_chains) * width
+
+    def pick(self, rows: np.ndarray, u_donor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Donor action and its slot for every chain of ``rows``.
+
+        The donor is the ``floor(u·size)``-th positive action in
+        ascending order (``u = u_donor[row]``), clamped to the last one.
+        """
+        size = self.size[rows]
+        slot = (u_donor[rows] * size).astype(np.int64)
+        np.minimum(slot, size - 1, out=slot)
+        return self._flat_actions[self._list_base[rows] + slot], slot
+
+    def transfer(
+        self, rows: np.ndarray, source: np.ndarray, target: np.ndarray, slot: np.ndarray
+    ) -> None:
+        """Move one interval from ``source`` to ``target`` in each chain of ``rows``.
+
+        ``slot`` is each donor's slot, as :meth:`pick` returned it.  A
+        donor left empty frees its slot; a receiver that gains its first
+        interval takes the donor's freed slot, else the last column (a
+        sentinel); an unchanged support rewrites the last column with the
+        sentinel.  Re-sorting the touched rows restores the order.
+        """
+        counts = self._flat_counts
+        base = self._count_base[rows]
+        at_source = base + source
+        at_target = base + target
+        left = counts[at_source] - 1
+        counts[at_source] = left
+        gained = counts[at_target] + 1
+        counts[at_target] = gained
+        opened = gained == 1
+        emptied = left == 0
+        write = np.where(emptied, slot, self.actions.shape[1] - 1)
+        write += self._list_base[rows]
+        self._flat_actions[write] = np.where(opened, target, self.num_actions)
+        lists = self.actions.take(rows, axis=0)
+        lists.sort(axis=1)
+        self.actions[rows] = lists
+        self.size[rows] = self.size[rows] + opened - emptied
+
+
+_EMPTY_INDEX = np.empty(0, dtype=np.int64)
+
+
+def _pick_transfer(
+    support: ActionSupport, rows: np.ndarray, u_donor: np.ndarray, u_receiver: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Donor/receiver actions (and donor slots) for the chains in ``rows``.
+
+    Samples the same distribution as the scalar
+    :meth:`StrategyMoveGenerator._transfer` — donor uniform over the
+    actions holding at least one interval, receiver uniform over the
+    remaining actions — for every chain of ``rows`` at once and from
+    pre-drawn ``U[0, 1)`` variates instead of fresh generator calls, so
+    a whole block of iterations can share one draw.
+    """
+    num_actions = support.num_actions
+    if num_actions < 2 or rows.size == 0:
+        return _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX
+    source, slot = support.pick(rows, u_donor)
+    target = (u_receiver[rows] * (num_actions - 1)).astype(np.int64)
+    np.minimum(target, num_actions - 2, out=target)
+    target += target >= source
+    return rows, source, target, slot
 
 
 @dataclass
@@ -134,14 +224,59 @@ class TransferMoveBatch:
     such a player unchanged).
     """
 
-    #: Chain indices whose *row* player moves, with per-entry actions.
+    #: Chain indices whose *row* player moves, with per-entry actions
+    #: and the donor's slot in its chain's :class:`ActionSupport` list.
     p_rows: np.ndarray
     p_source: np.ndarray
     p_target: np.ndarray
-    #: Chain indices whose *column* player moves, with per-entry actions.
+    p_slot: np.ndarray
+    #: Chain indices whose *column* player moves, likewise.
     q_rows: np.ndarray
     q_source: np.ndarray
     q_target: np.ndarray
+    q_slot: np.ndarray
+    #: On a batch made by :meth:`accepted`: per player, which entries of
+    #: the unfiltered batch it kept.
+    p_keep: Optional[np.ndarray] = None
+    q_keep: Optional[np.ndarray] = None
+
+    @classmethod
+    def sample(
+        cls,
+        p_support: ActionSupport,
+        q_support: ActionSupport,
+        u_player: np.ndarray,
+        u_donor: np.ndarray,
+        u_receiver: np.ndarray,
+    ) -> "TransferMoveBatch":
+        """One move per chain, read from both players' support lists.
+
+        See :func:`sample_transfer_moves` for the move distribution.
+        """
+        move_p = u_player < 0.5
+        p_rows, p_source, p_target, p_slot = _pick_transfer(
+            p_support, np.flatnonzero(move_p), u_donor, u_receiver
+        )
+        q_rows, q_source, q_target, q_slot = _pick_transfer(
+            q_support, np.flatnonzero(~move_p), u_donor, u_receiver
+        )
+        return cls(p_rows, p_source, p_target, p_slot, q_rows, q_source, q_target, q_slot)
+
+    def accepted(self, accept: np.ndarray) -> "TransferMoveBatch":
+        """The moves of the chains that ``accept`` marks, filtered once.
+
+        The result's ``p_keep`` / ``q_keep`` masks let arrays computed
+        per entry of this batch be filtered the same way.
+        """
+        p_keep = accept[self.p_rows]
+        q_keep = accept[self.q_rows]
+        return TransferMoveBatch(
+            self.p_rows[p_keep], self.p_source[p_keep], self.p_target[p_keep],
+            self.p_slot[p_keep],
+            self.q_rows[q_keep], self.q_source[q_keep], self.q_target[q_keep],
+            self.q_slot[q_keep],
+            p_keep, q_keep,
+        )
 
     def apply(
         self,
@@ -150,47 +285,14 @@ class TransferMoveBatch:
         accept: Optional[np.ndarray] = None,
     ) -> None:
         """Apply the moves in place, optionally only where ``accept`` is set."""
+        moves = self if accept is None else self.accepted(accept)
         for rows, source, target, counts in (
-            (self.p_rows, self.p_source, self.p_target, p_counts),
-            (self.q_rows, self.q_source, self.q_target, q_counts),
+            (moves.p_rows, moves.p_source, moves.p_target, p_counts),
+            (moves.q_rows, moves.q_source, moves.q_target, q_counts),
         ):
-            if accept is not None:
-                keep = accept[rows]
-                rows, source, target = rows[keep], source[keep], target[keep]
             if rows.size:
                 counts[rows, source] -= 1
                 counts[rows, target] += 1
-
-
-_EMPTY_INDEX = np.empty(0, dtype=np.int64)
-
-
-def _pick_transfer(
-    counts: np.ndarray, rows: np.ndarray, u_donor: np.ndarray, u_receiver: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Donor/receiver actions for the chains in ``rows``, from uniforms.
-
-    Samples the same distribution as the scalar
-    :meth:`StrategyMoveGenerator._transfer` — donor uniform over the
-    actions holding at least one interval, receiver uniform over the
-    remaining actions — for every chain of ``rows`` at once and from
-    pre-drawn ``U[0, 1)`` variates instead of fresh generator calls, so
-    a whole block of iterations can share one draw.
-    """
-    num_actions = counts.shape[1]
-    if num_actions < 2 or rows.size == 0:
-        return _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX
-    sub = counts[rows]
-    positive = sub > 0
-    num_positive = positive.sum(axis=1)
-    pick = np.minimum(
-        (u_donor[rows] * num_positive).astype(np.int64), num_positive - 1
-    )
-    source = _nth_positive(positive, num_positive, pick)
-    target = (u_receiver[rows] * (num_actions - 1)).astype(np.int64)
-    np.minimum(target, num_actions - 2, out=target)
-    target += target >= source
-    return rows, source, target
 
 
 def sample_transfer_moves(
@@ -206,16 +308,17 @@ def sample_transfer_moves(
     column player otherwise; the move transfers a single interval of
     probability mass between two actions of that player (the Alg.-1
     neighbourhood, identical in distribution to
-    :meth:`StrategyMoveGenerator.propose`).
+    :meth:`StrategyMoveGenerator.propose`).  Stateless: builds both
+    players' :class:`ActionSupport` lists from the counts, then samples
+    exactly as the fused kernel does from its maintained lists.
     """
-    move_p = u_player < 0.5
-    p_rows, p_source, p_target = _pick_transfer(
-        p_counts, np.flatnonzero(move_p), u_donor, u_receiver
+    return TransferMoveBatch.sample(
+        ActionSupport(np.ascontiguousarray(p_counts)),
+        ActionSupport(np.ascontiguousarray(q_counts)),
+        u_player,
+        u_donor,
+        u_receiver,
     )
-    q_rows, q_source, q_target = _pick_transfer(
-        q_counts, np.flatnonzero(~move_p), u_donor, u_receiver
-    )
-    return TransferMoveBatch(p_rows, p_source, p_target, q_rows, q_source, q_target)
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,11 @@ from repro.annealing.vectorized import (
 from repro.core.config import CNashConfig
 from repro.core.max_qubo import IdealEvaluator, ObjectiveEvaluator, StackedIncrementalState
 from repro.core.strategy import (
+    ActionSupport,
     BatchedStrategyState,
     QuantizedStrategyPair,
     StrategyMoveGenerator,
     TransferMoveBatch,
-    sample_transfer_moves,
 )
 from repro.utils.rng import SeedLike
 
@@ -82,7 +82,8 @@ class _CountBuffers:
     """Count buffers, move staging and snapshots shared by both fused problems.
 
     Both keep their chains' interval counts in ``_p_counts`` /
-    ``_q_counts`` (viewed by ``_state_view``) and stage one structured
+    ``_q_counts`` (viewed by ``_state_view``), mirror them in one
+    :class:`ActionSupport` per player, and stage one structured
     interval-transfer move per chain from the block uniforms in
     ``_uniforms``.
     """
@@ -90,23 +91,42 @@ class _CountBuffers:
     num_intervals: int
     _p_counts: np.ndarray
     _q_counts: np.ndarray
+    _p_support: ActionSupport
+    _q_support: ActionSupport
     _state_view: BatchedStrategyState
     _uniforms: np.ndarray
     _moves: Optional[TransferMoveBatch] = None
 
+    def _set_counts(self, p_counts: np.ndarray, q_counts: np.ndarray) -> None:
+        """Adopt the chains' initial counts and build their support lists."""
+        self._p_counts = p_counts
+        self._q_counts = q_counts
+        self._p_support = ActionSupport(p_counts, self.num_intervals)
+        self._q_support = ActionSupport(q_counts, self.num_intervals)
+        self._state_view = BatchedStrategyState(p_counts, q_counts, self.num_intervals)
+
     def _stage_moves(self, step: int) -> TransferMoveBatch:
         """Sample the ``step``-th move of the block and keep it for :meth:`_apply_moves`."""
         u_player, u_donor, u_receiver = self._uniforms[:, step]
-        self._moves = sample_transfer_moves(
-            self._p_counts, self._q_counts, u_player, u_donor, u_receiver
+        self._moves = TransferMoveBatch.sample(
+            self._p_support, self._q_support, u_player, u_donor, u_receiver
         )
         return self._moves
 
-    def _apply_moves(self, accept: np.ndarray) -> None:
-        """Fold the staged move into the accepted chains' counts."""
+    def _apply_moves(self, accept: np.ndarray) -> TransferMoveBatch:
+        """Fold the staged move into the accepted chains; returns their moves."""
         assert self._moves is not None
-        self._moves.apply(self._p_counts, self._q_counts, accept=accept)
+        accepted = self._moves.accepted(accept)
+        if accepted.p_rows.size:
+            self._p_support.transfer(
+                accepted.p_rows, accepted.p_source, accepted.p_target, accepted.p_slot
+            )
+        if accepted.q_rows.size:
+            self._q_support.transfer(
+                accepted.q_rows, accepted.q_source, accepted.q_target, accepted.q_slot
+            )
         self._moves = None
+        return accepted
 
     def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._p_counts.copy(), self._q_counts.copy()
@@ -182,10 +202,9 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
             initial_states = BatchedStrategyState.random(
                 batch_size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
             )
-        self._p_counts = np.array(initial_states.p_counts, dtype=int)
-        self._q_counts = np.array(initial_states.q_counts, dtype=int)
-        self._state_view = BatchedStrategyState(
-            self._p_counts, self._q_counts, self.num_intervals
+        self._set_counts(
+            np.array(initial_states.p_counts, dtype=int),
+            np.array(initial_states.q_counts, dtype=int),
         )
         self._cand_p = self._p_counts.copy()
         self._cand_q = self._q_counts.copy()
@@ -278,11 +297,7 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
             p_parts.append(np.array(states.p_counts, dtype=int))
             q_parts.append(np.array(states.q_counts, dtype=int))
             sizes.append(size)
-        self._p_counts = np.concatenate(p_parts, axis=0)
-        self._q_counts = np.concatenate(q_parts, axis=0)
-        self._state_view = BatchedStrategyState(
-            self._p_counts, self._q_counts, self.num_intervals
-        )
+        self._set_counts(np.concatenate(p_parts, axis=0), np.concatenate(q_parts, axis=0))
         offsets = np.cumsum([0] + sizes)
         self._bounds = [
             (int(offsets[j]), int(offsets[j + 1])) for j in range(len(sizes))
@@ -314,8 +329,7 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
         return self._incremental.candidate_energies(self._stage_moves(step))
 
     def commit(self, accept: np.ndarray) -> None:
-        self._apply_moves(accept)
-        self._incremental.commit(accept)
+        self._incremental.commit(accept, self._apply_moves(accept))
 
     def resync(self) -> Optional[np.ndarray]:
         return self._incremental.resync(self._state_view)

@@ -74,6 +74,7 @@ from repro.service.resilience import (
 )
 from repro.telemetry import get_logger
 from repro.telemetry import registry as telemetry_registry
+from repro.utils.blas import set_blas_threads
 
 #: Executor kinds accepted by :class:`SolveScheduler`.
 EXECUTOR_KINDS = ("process", "thread", "inline")
@@ -167,7 +168,13 @@ class _InlineExecutor(Executor):
 
 def _make_executor(kind: str, max_workers: Optional[int]) -> Executor:
     if kind == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
+        # The pool spreads jobs over the cores, so each worker runs its
+        # matrix products on one BLAS thread instead of one per CPU.
+        # Thread and inline executors share the caller's process, whose
+        # BLAS setting is not theirs to change.
+        return ProcessPoolExecutor(
+            max_workers=max_workers, initializer=set_blas_threads, initargs=(1,)
+        )
     if kind == "thread":
         return ThreadPoolExecutor(max_workers=max_workers)
     if kind == "inline":

@@ -195,6 +195,7 @@ class TestBlockRngDeterminism:
             (1, 5, 4),  # the row player has a single action
             (5, 1, 4),  # the column player has a single action
             (40, 3, 4),  # I < n: sparse row support
+            (64, 3, 4),  # I far below n: a 5-slot support list over 64 actions
             (2, 3, 16),  # I far above both action counts
         ],
     )
@@ -238,7 +239,9 @@ class TestBlockRngDeterminism:
         np.testing.assert_array_equal(result.final_states.p_counts, p_counts)
         np.testing.assert_array_equal(result.final_states.q_counts, q_counts)
 
-    @pytest.mark.parametrize("num_actions,num_intervals", [(2, 3), (9, 4), (40, 4), (6, 30)])
+    @pytest.mark.parametrize(
+        "num_actions,num_intervals", [(2, 3), (9, 4), (40, 4), (6, 30), (300, 4)]
+    )
     def test_batched_transfer_moves_the_pick_th_positive_action(self, num_actions, num_intervals):
         """The sampler's donor is the ``pick``-th action holding an interval."""
         rng = np.random.default_rng(num_actions)

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import QuantizedStrategyPair, StrategyMoveGenerator, sample_transfer_moves
+from repro.core import (
+    FusedTwoPhaseProblem,
+    IdealEvaluator,
+    QuantizedStrategyPair,
+    StrategyMoveGenerator,
+    sample_transfer_moves,
+)
+from repro.games.generators import random_game
 
 
 class TestQuantizedStrategyPair:
@@ -116,3 +125,49 @@ class TestStrategyMoveGenerator:
         generator = StrategyMoveGenerator()
         with pytest.raises(ValueError):
             generator.random_state(2, 2, 4, rng, pure_bias=1.5)
+
+
+def assert_support_matches_scan(support, counts, num_intervals):
+    """Every chain's support row is its positive actions, ascending, padded with ``n``."""
+    num_actions = counts.shape[1]
+    assert support.actions.shape == (counts.shape[0], min(num_actions, num_intervals) + 1)
+    for chain, row in enumerate(counts):
+        positive = np.flatnonzero(row > 0)
+        expected = np.full(support.actions.shape[1], num_actions)
+        expected[: positive.size] = positive
+        np.testing.assert_array_equal(support.actions[chain], expected)
+        assert support.size[chain] == positive.size
+
+
+class TestActionSupport:
+    @given(
+        num_rows=st.integers(1, 300),
+        num_cols=st.integers(1, 300),
+        num_intervals=st.integers(1, 40),
+        batch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_support_lists_match_a_scan_after_every_commit(
+        self, num_rows, num_cols, num_intervals, batch_size, seed
+    ):
+        """The fused problems' support lists track their counts through random commits.
+
+        Covers ``I`` below and above ``n``, one-action players and, through
+        the pure starts and ``I = 1``, all intervals on one action.
+        """
+        game = random_game(num_rows, num_cols, seed=0)
+        problem = FusedTwoPhaseProblem(IdealEvaluator(game), num_intervals)
+        rng = np.random.default_rng(seed)
+        problem.begin(batch_size, rng)
+        problem.draw_block(30, rng)
+        for step in range(30):
+            problem._stage_moves(step)
+            problem._apply_moves(rng.random(batch_size) < rng.random())
+            for support, counts in (
+                (problem._p_support, problem._p_counts),
+                (problem._q_support, problem._q_counts),
+            ):
+                assert support.counts is counts
+                np.testing.assert_array_equal(counts.sum(axis=1), num_intervals)
+                assert_support_matches_scan(support, counts, num_intervals)
