@@ -323,19 +323,15 @@ class StackedIncrementalState:
         self._cand_bilinear = cand_bilinear
         return cand_row_max + cand_col_max - cand_bilinear
 
-    def commit(
-        self, accept: np.ndarray, accepted: Optional[TransferMoveBatch] = None
-    ) -> None:
+    def commit(self, accept: np.ndarray, accepted: TransferMoveBatch) -> None:
         """Fold the staged candidate caches into the accepted chains.
 
-        ``accepted`` is the staged batch's ``accepted(accept)`` when the
-        caller has already filtered it; otherwise it is filtered here.
+        ``accepted`` is the staged batch's ``accepted(accept)``: the caller
+        filters the moves once and shares them with its count update; its
+        ``p_keep`` / ``q_keep`` masks filter the staged deltas here.
         """
-        moves = self._staged_moves
-        if moves is None:
+        if self._staged_moves is None:
             raise RuntimeError("commit() without a staged candidate_energies() call")
-        if accepted is None:
-            accepted = moves.accepted(accept)
         inv = self._inv_intervals
         rows = accepted.q_rows
         if rows.size:

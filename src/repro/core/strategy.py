@@ -278,17 +278,14 @@ class TransferMoveBatch:
             p_keep, q_keep,
         )
 
-    def apply(
-        self,
-        p_counts: np.ndarray,
-        q_counts: np.ndarray,
-        accept: Optional[np.ndarray] = None,
-    ) -> None:
-        """Apply the moves in place, optionally only where ``accept`` is set."""
-        moves = self if accept is None else self.accepted(accept)
+    def apply(self, p_counts: np.ndarray, q_counts: np.ndarray) -> None:
+        """Apply every move of the batch to the counts in place.
+
+        To apply only some chains' moves, apply :meth:`accepted`'s batch.
+        """
         for rows, source, target, counts in (
-            (moves.p_rows, moves.p_source, moves.p_target, p_counts),
-            (moves.q_rows, moves.q_source, moves.q_target, q_counts),
+            (self.p_rows, self.p_source, self.p_target, p_counts),
+            (self.q_rows, self.q_source, self.q_target, q_counts),
         ):
             if rows.size:
                 counts[rows, source] -= 1

@@ -202,6 +202,22 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
             initial_states = BatchedStrategyState.random(
                 batch_size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
             )
+        else:
+            # The support lists are min(n, I) + 1 wide: they hold only
+            # states whose rows each spread exactly this problem's I
+            # intervals over this game's actions.
+            if initial_states.num_intervals != self.num_intervals:
+                raise ValueError(
+                    f"initial_states are quantized at I={initial_states.num_intervals}, "
+                    f"this problem at I={self.num_intervals}"
+                )
+            initial_states.validate()
+            shape = (initial_states.p_counts.shape[1], initial_states.q_counts.shape[1])
+            if shape != (n, m):
+                raise ValueError(
+                    f"initial_states have {shape[0]}x{shape[1]} actions, "
+                    f"the game {n}x{m}"
+                )
         self._set_counts(
             np.array(initial_states.p_counts, dtype=int),
             np.array(initial_states.q_counts, dtype=int),

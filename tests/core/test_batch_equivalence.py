@@ -201,6 +201,30 @@ class TestExecutionEquivalence:
         np.testing.assert_allclose(result.best_energies, 0.0, atol=1e-12)
         np.testing.assert_array_equal(result.best_states.p_counts, states.p_counts)
 
+    @pytest.mark.parametrize(
+        "p_counts,q_counts,num_intervals,match",
+        [
+            # Quantized at a larger I: would overflow the min(n, I) + 1 lists.
+            ([[5, 3]], [[8, 0]], 8, "I=8"),
+            # Right I, but the rows do not sum to it.
+            ([[4, 1]], [[4, 0]], 4, "sum to 4"),
+            ([[5, -1]], [[4, 0]], 4, "non-negative"),
+            # Right I and simplex, wrong number of row actions.
+            ([[2, 1, 1]], [[4, 0]], 4, "3x2 actions"),
+        ],
+    )
+    def test_mismatched_initial_states_are_rejected(
+        self, bos, p_counts, q_counts, num_intervals, match
+    ):
+        states = BatchedStrategyState(
+            np.array(p_counts), np.array(q_counts), num_intervals
+        )
+        annealer = FusedAnnealer(
+            FusedTwoPhaseProblem(IdealEvaluator(bos), 4), AnnealingConfig(num_iterations=5)
+        )
+        with pytest.raises(ValueError, match=match):
+            annealer.run(1, seed=0, initial_states=states)
+
     def test_execution_validation(self):
         with pytest.raises(ValueError):
             CNashConfig(execution="parallel-universe")

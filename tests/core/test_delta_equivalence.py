@@ -120,8 +120,9 @@ class TestDriftGuard:
             )
             incremental.candidate_energies(moves)
             accept = rng.random(16) < 0.5
-            moves.apply(states.p_counts, states.q_counts, accept=accept)
-            incremental.commit(accept)
+            kept = moves.accepted(accept)
+            kept.apply(states.p_counts, states.q_counts)
+            incremental.commit(accept, kept)
         full = evaluator.evaluate_batch(states)
         np.testing.assert_allclose(incremental.energies(), full, atol=1e-9)
         np.testing.assert_array_equal(incremental.resync(states), full)
