@@ -9,6 +9,9 @@ Measures, on this machine:
   crossover up (``run_two_phase_sa_batch``), on random integer-payoff
   games, including the headline 64x64 / B=1000 / I=32 workload and the
   paper-sized 2x2 / 3x3 games, where both columns run full evaluation.
+  The paper-sized rows also time full evaluation through the FeFET
+  bi-crossbar model (``HardwareEvaluator``, column ``fused_hardware``):
+  Battle of the Sexes always, the Bird game in full runs.
 * **End-to-end Table-1 workload** — ``CNashSolver.solve_batch`` on the
   paper's three games for each ``execution`` mode, runs/second and
   success rate.
@@ -45,11 +48,18 @@ from repro.core import (
     CNashConfig,
     CNashSolver,
     FusedTwoPhaseProblem,
+    HardwareEvaluator,
     IdealEvaluator,
     run_two_phase_sa_batch,
 )
 from repro.games import battle_of_the_sexes, bird_game, modified_prisoners_dilemma
 from repro.games.generators import random_game
+from repro.hardware import BiCrossbar
+
+
+#: Kernel rows that also time full evaluation through the FeFET hardware
+#: model (the Bird game row runs in full runs only).
+HARDWARE_ROWS = ("battle of the sexes 2x2", "bird game 3x3")
 
 
 def _best_of(repeats, fn):
@@ -79,6 +89,7 @@ def bench_kernels(smoke: bool, repeats: int):
         ]
     records = []
     for name, game, num_intervals, batch_size, num_iterations in workloads:
+        hardware = name in HARDWARE_ROWS
         evaluator = IdealEvaluator(game)
         annealing = AnnealingConfig(num_iterations=num_iterations)
         # The same schedule as ``annealing`` (the AnnealingConfig default).
@@ -102,6 +113,15 @@ def bench_kernels(smoke: bool, repeats: int):
             "fused_full": _best_of(repeats, run_full),
             "fused_delta": _best_of(repeats, run_delta),
         }
+        if hardware:
+            hardware_evaluator = HardwareEvaluator(game, BiCrossbar(game, num_intervals, seed=0))
+
+            def run_hardware():
+                FusedAnnealer(
+                    FusedTwoPhaseProblem(hardware_evaluator, num_intervals), annealing
+                ).run(batch_size, seed=0)
+
+            timings["fused_hardware"] = _best_of(repeats, run_hardware)
         record = {
             "workload": name,
             "shape": list(game.shape),
@@ -118,11 +138,16 @@ def bench_kernels(smoke: bool, repeats: int):
             ),
         }
         records.append(record)
+        rates = record["proposals_per_second"]
+        hardware_rate = (
+            f", hardware {rates['fused_hardware']:,} prop/s" if hardware else ""
+        )
         print(
             f"[kernel] {name}: "
-            f"full {record['proposals_per_second']['fused_full']:,} prop/s, "
-            f"delta {record['proposals_per_second']['fused_delta']:,} prop/s "
+            f"full {rates['fused_full']:,} prop/s, "
+            f"delta {rates['fused_delta']:,} prop/s "
             f"({record['delta_speedup_vs_fused_full']}x vs fused full)"
+            f"{hardware_rate}"
         )
     return records
 

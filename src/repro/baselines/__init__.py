@@ -12,15 +12,6 @@ from repro.baselines.dwave_like import (
     BaselineRunResult,
     DWaveLikeSolver,
 )
-from repro.baselines.embedding import (
-    Embedding,
-    EmbeddingError,
-    chimera_graph,
-    embed_dense_problem,
-    greedy_embed,
-    hardware_graph_for,
-    pegasus_like_graph,
-)
 from repro.baselines.exhaustive import ExhaustiveSearchResult, exhaustive_grid_search
 from repro.baselines.literature import (
     FIG8_SOLUTION_DISTRIBUTIONS,
@@ -47,13 +38,6 @@ __all__ = [
     "BaselineRunResult",
     "BaselineBatchResult",
     "exhaustive_grid_search",
-    "Embedding",
-    "EmbeddingError",
-    "chimera_graph",
-    "pegasus_like_graph",
-    "hardware_graph_for",
-    "greedy_embed",
-    "embed_dense_problem",
     "ExhaustiveSearchResult",
     "AnnealerProfile",
     "DWAVE_2000Q6",

@@ -282,6 +282,8 @@ class TransferMoveBatch:
         """Apply every move of the batch to the counts in place.
 
         To apply only some chains' moves, apply :meth:`accepted`'s batch.
+        The fused kernel moves single cells through flat indices instead;
+        this is the plain reference its tests replay against.
         """
         for rows, source, target, counts in (
             (self.p_rows, self.p_source, self.p_target, p_counts),

@@ -164,8 +164,9 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
     The chains' interval counts live in problem-owned ``(B, n)`` /
     ``(B, m)`` buffers.  Every iteration stages one structured
     interval-transfer move per chain (:class:`TransferMoveBatch`,
-    sampled from pre-drawn block uniforms), applies it to a
-    double-buffered candidate state and scores that state with
+    sampled from pre-drawn block uniforms), applies it to candidate
+    buffers that equal the counts between iterations, touching only the
+    moved cells, and scores the candidates with
     ``evaluator.evaluate_batch``: ``O(B·n·m)`` per iteration.
 
     This is the path for any evaluator: the hardware evaluator, whose
@@ -227,6 +228,17 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
         self._cand_view = BatchedStrategyState(
             self._cand_p, self._cand_q, self.num_intervals
         )
+        # Per player: flat candidate and count views, and each chain's
+        # offset into them, for moving single cells.
+        batch_size = self._p_counts.shape[0]
+        self._flat_buffers = [
+            (cand.reshape(-1), counts.reshape(-1), np.arange(batch_size) * width)
+            for cand, counts, width in (
+                (self._cand_p, self._p_counts, n),
+                (self._cand_q, self._q_counts, m),
+            )
+        ]
+        self._moved_cells: List[np.ndarray] = []
         return np.array(self.evaluator.evaluate_batch(self._state_view), dtype=float)
 
     def draw_block(self, num_steps: int, rng: np.random.Generator) -> None:
@@ -236,13 +248,28 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
 
     def propose(self, step: int) -> np.ndarray:
         moves = self._stage_moves(step)
-        np.copyto(self._cand_p, self._p_counts)
-        np.copyto(self._cand_q, self._q_counts)
-        moves.apply(self._cand_p, self._cand_q)
+        # Between iterations the candidate buffers equal the counts, so
+        # applying the staged move to them makes them the candidates;
+        # commit restores the cells it moved.
+        self._moved_cells = []
+        for (cand, _, offsets), rows, source, target in zip(
+            self._flat_buffers,
+            (moves.p_rows, moves.q_rows),
+            (moves.p_source, moves.q_source),
+            (moves.p_target, moves.q_target),
+        ):
+            at_source = offsets[rows]
+            at_target = at_source + target
+            at_source += source
+            cand[at_source] -= 1
+            cand[at_target] += 1
+            self._moved_cells.append(np.concatenate((at_source, at_target)))
         return np.asarray(self.evaluator.evaluate_batch(self._cand_view), dtype=float)
 
     def commit(self, accept: np.ndarray) -> None:
         self._apply_moves(accept)
+        for (cand, counts, _), cells in zip(self._flat_buffers, self._moved_cells):
+            cand[cells] = counts[cells]
 
 
 class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrategyState]):

@@ -5,10 +5,13 @@ Table 1 and Figs. 8–10 are all derived from the same underlying runs
 games), so this module provides:
 
 * :class:`ExperimentScale` — smoke / default / paper-scale run budgets.
-  The paper's protocol (5000 runs of 10k–50k iterations per game) takes
-  hours in a Python simulation; the default scale preserves the
-  comparison structure at a laptop-friendly budget, and ``paper`` scale
-  is available for full-fidelity reruns.
+  ``paper`` is the paper's protocol (5000 runs of 10k–50k iterations
+  per game); on a 2-CPU Xeon the whole experiment set runs in about
+  four minutes with the exact evaluator (219 s measured).  Through the
+  FeFET hardware model (``use_hardware=True``) its C-Nash runs would
+  take about 14 minutes, an estimate from per-iteration kernel timings
+  at 5000 chains.  The default scale preserves the comparison structure
+  and runs the set in about 20 seconds (18 s measured).
 * :class:`GameEvaluation` — the bundle of per-game results every
   downstream experiment consumes.
 * :func:`evaluate_game` / :func:`evaluate_all_games` — run (and cache,

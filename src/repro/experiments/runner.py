@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         default="default",
         choices=["smoke", "default", "paper"],
-        help="run budget (paper scale takes hours)",
+        help="run budget (the whole set on a 2-CPU Xeon: default about 20 s, "
+        "paper about 4 min)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(

@@ -49,13 +49,16 @@ class ADC:
         """Current corresponding to one least-significant bit."""
         return self.full_scale_current_a / (self.num_levels - 1)
 
+    def _levels(self, current_a) -> np.ndarray:
+        """Whole-numbered float codes of current(s), clipped at full scale."""
+        values = np.asarray(current_a, dtype=float)
+        if values.min(initial=0.0) < 0:
+            raise ValueError("ADC input currents must be non-negative")
+        return np.rint(np.clip(values, 0.0, self.full_scale_current_a) / self.lsb_current_a)
+
     def quantize(self, current_a):
         """Convert current(s) to integer codes (clipping at full scale)."""
-        values = np.asarray(current_a, dtype=float)
-        if np.any(values < 0):
-            raise ValueError("ADC input currents must be non-negative")
-        codes = np.rint(np.clip(values, 0.0, self.full_scale_current_a) / self.lsb_current_a)
-        codes = codes.astype(int)
+        codes = self._levels(current_a).astype(int)
         if np.isscalar(current_a) or codes.ndim == 0:
             return int(codes)
         return codes
@@ -68,5 +71,13 @@ class ADC:
         return values
 
     def convert(self, current_a):
-        """Quantise and reconstruct: the current as the SA logic perceives it."""
-        return self.to_current(self.quantize(current_a))
+        """Quantise and reconstruct: the current as the SA logic perceives it.
+
+        Equal to ``to_current(quantize(current_a))``: the codes are whole
+        floats below ``2**num_bits``, so their round trip through ``int``
+        is exact and is skipped.
+        """
+        values = self._levels(current_a) * self.lsb_current_a
+        if np.isscalar(current_a) or values.ndim == 0:
+            return float(values)
+        return values

@@ -68,6 +68,13 @@ class PayoffCrossbar:
         )
         self.crossbar.program(self.layout.bit_pattern(self.mapping))
         self._block_cumulative = self._build_block_cumulative()
+        # Flat view of the table for the batched reads: block (i, j) read
+        # with a rows and b column replicas active sits at flat index
+        # ``((i * m + j) * (I + 1) + a) * (I + 1) + b``; ``_mv_bases`` holds
+        # that index at a = I, b = 0.
+        n, m, stride = self._block_cumulative.shape[:3]
+        self._flat_blocks = self._block_cumulative.ravel()
+        self._mv_bases = (np.arange(n * m).reshape(n, m) * stride + stride - 1) * stride
 
     # ------------------------------------------------------------------
     # Pre-reduction
@@ -88,7 +95,7 @@ class PayoffCrossbar:
         padded = np.zeros((n, intervals + 1, m, intervals + 1))
         padded[:, 1:, :, 1:] = cumulative
         # Reorder to (n, m, I+1, I+1) for direct indexing.
-        return np.transpose(padded, (0, 2, 1, 3))
+        return np.ascontiguousarray(np.transpose(padded, (0, 2, 1, 3)))
 
     # ------------------------------------------------------------------
     # Scaling helpers
@@ -143,82 +150,46 @@ class PayoffCrossbar:
             currents = self._apply_read_noise(currents)
         return currents
 
-    # ------------------------------------------------------------------
-    # Batched analog operations (one read per chain, whole batch at once)
-    # ------------------------------------------------------------------
-    def mv_currents_batch_a(
-        self, col_counts: np.ndarray, include_read_noise: bool = True
-    ) -> np.ndarray:
-        """Phase-1 currents for a ``(B, m)`` batch of column strategies.
+    def _gather_blocks(
+        self, row_counts: np.ndarray, col_counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Block currents of both phases for a chain batch, each ``(B, n, m)``.
 
-        Returns a ``(B, n)`` array; read noise is sampled for the whole
-        batch in one draw.
+        The Phase-1 array holds ``G[i, j, I, b_j]`` (every row of each
+        block driven), the Phase-2 array ``G[i, j, a_i, b_j]``, where
+        ``a = row_counts`` and ``b = col_counts``.  Unchecked: the caller
+        validates the counts.
         """
-        col_counts = self._validate_batch_counts(col_counts, self.layout.num_col_actions, "col_counts")
-        n, m = self.layout.num_row_actions, self.layout.num_col_actions
         intervals = self.layout.num_intervals
-        block = self._block_cumulative[
-            np.arange(n)[None, :, None],
-            np.arange(m)[None, None, :],
-            intervals,
-            col_counts[:, None, :],
-        ]
-        currents = block.sum(axis=2)
-        if include_read_noise:
-            currents = self._apply_read_noise(currents)
-        return currents
-
-    def vmv_currents_batch_a(
-        self,
-        row_counts: np.ndarray,
-        col_counts: np.ndarray,
-        include_read_noise: bool = True,
-    ) -> np.ndarray:
-        """Phase-2 total array currents for stacked strategy batches.
-
-        ``row_counts`` is ``(B, n)`` and ``col_counts`` ``(B, m)``; the
-        result is the ``(B,)`` vector of ``p^T M q`` currents.
-        """
-        row_counts = self._validate_batch_counts(row_counts, self.layout.num_row_actions, "row_counts")
-        col_counts = self._validate_batch_counts(col_counts, self.layout.num_col_actions, "col_counts")
-        if row_counts.shape[0] != col_counts.shape[0]:
-            raise ValueError(
-                f"row_counts and col_counts disagree on batch size: "
-                f"{row_counts.shape[0]} vs {col_counts.shape[0]}"
-            )
-        n, m = self.layout.num_row_actions, self.layout.num_col_actions
-        block = self._block_cumulative[
-            np.arange(n)[None, :, None],
-            np.arange(m)[None, None, :],
-            row_counts[:, :, None],
-            col_counts[:, None, :],
-        ]
-        totals = block.sum(axis=(1, 2))
-        if include_read_noise:
-            totals = self._apply_read_noise(totals)
-        return totals
+        index = self._mv_bases + col_counts[:, None, :]
+        phase1 = self._flat_blocks.take(index)
+        # Phase 2 reads a_i rows where Phase 1 read I of them.
+        index += ((row_counts - intervals) * (intervals + 1))[:, :, None]
+        return phase1, self._flat_blocks.take(index)
 
     # ------------------------------------------------------------------
     # Decoding currents back into payoff values
     # ------------------------------------------------------------------
+    @property
+    def decode_scale(self) -> float:
+        """Current (amperes) per unit of payoff value, for both phases."""
+        intervals = self.layout.num_intervals
+        return self.unit_current_a * intervals * intervals / self.value_per_cell
+
     def decode_vmv(self, current_a):
         """Convert Phase-2 current(s) back into ``p^T M q`` value(s).
 
         Accepts a scalar (returns ``float``) or a batch array (returns an
         array of the same shape).
         """
-        intervals = self.layout.num_intervals
-        scale = self.unit_current_a * intervals * intervals / self.value_per_cell
-        values = np.asarray(current_a, dtype=float) / scale
+        values = np.asarray(current_a, dtype=float) / self.decode_scale
         if values.ndim == 0:
             return float(values)
         return values
 
     def decode_mv(self, currents_a: np.ndarray) -> np.ndarray:
         """Convert Phase-1 currents back into the ``M q`` vector."""
-        intervals = self.layout.num_intervals
-        scale = self.unit_current_a * intervals * intervals / self.value_per_cell
-        return np.asarray(currents_a, dtype=float) / scale
+        return np.asarray(currents_a, dtype=float) / self.decode_scale
 
     def max_mv_current_a(self) -> float:
         """Upper bound of a Phase-1 current (used to size ADC full scale)."""
@@ -252,19 +223,6 @@ class PayoffCrossbar:
         if np.any(col_counts < 0) or np.any(col_counts > intervals):
             raise ValueError(f"col_counts must be within [0, {intervals}]")
         return row_counts, col_counts
-
-    def _validate_batch_counts(
-        self, counts: np.ndarray, num_actions: int, label: str
-    ) -> np.ndarray:
-        intervals = self.layout.num_intervals
-        counts = np.asarray(counts, dtype=int)
-        if counts.ndim != 2 or counts.shape[1] != num_actions:
-            raise ValueError(
-                f"{label} must have shape (batch, {num_actions}), got {counts.shape}"
-            )
-        if np.any(counts < 0) or np.any(counts > intervals):
-            raise ValueError(f"{label} must be within [0, {intervals}]")
-        return counts
 
 
 @dataclass(frozen=True)
@@ -365,6 +323,12 @@ class BiCrossbar:
             self.row_crossbar.max_mv_current_a(), self.col_crossbar.max_mv_current_a()
         )
         self.adc = ADC(num_bits=adc_bits, full_scale_current_a=max(full_scale, 1e-9))
+        # The read noise of every read comes from this generator, which
+        # the two payoff crossbars share.
+        self._rng = rng
+        # Per-row divisors of evaluate_batch's (4, B) read array.
+        row_scale, col_scale = self.row_crossbar.decode_scale, self.col_crossbar.decode_scale
+        self._decode_scales = np.array([[row_scale], [col_scale], [row_scale], [col_scale]])
 
     # ------------------------------------------------------------------
     # Phase 1: MAX terms
@@ -392,39 +356,6 @@ class BiCrossbar:
         )
 
     # ------------------------------------------------------------------
-    # Batched phases (whole chain batch per analog read)
-    # ------------------------------------------------------------------
-    def phase1_batch(
-        self, p_counts: np.ndarray, q_counts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Phase 1 for stacked ``(B, n)`` / ``(B, m)`` strategy batches.
-
-        Returns the ``(B,)`` arrays of ``max(Mq)`` and ``max(N^T p)``
-        values; crossbar reads, WTA trees, read-noise sampling and ADC
-        conversion all operate on the whole batch at once.
-        """
-        row_currents = self.row_crossbar.mv_currents_batch_a(q_counts)
-        col_currents = self.col_crossbar.mv_currents_batch_a(p_counts)
-        max_row_currents = self.adc.convert(self.row_wta.output_currents_batch_a(row_currents))
-        max_col_currents = self.adc.convert(self.col_wta.output_currents_batch_a(col_currents))
-        return (
-            self.row_crossbar.decode_mv(max_row_currents),
-            self.col_crossbar.decode_mv(max_col_currents),
-        )
-
-    def phase2_batch(self, p_counts: np.ndarray, q_counts: np.ndarray) -> np.ndarray:
-        """Phase 2 for stacked strategy batches: ``(B,)`` VMV values."""
-        row_currents = self.adc.convert(
-            self.row_crossbar.vmv_currents_batch_a(p_counts, q_counts)
-        )
-        col_currents = self.adc.convert(
-            self.col_crossbar.vmv_currents_batch_a(q_counts, p_counts)
-        )
-        return self.row_crossbar.decode_vmv(row_currents) + self.col_crossbar.decode_vmv(
-            col_currents
-        )
-
-    # ------------------------------------------------------------------
     # Full objective
     # ------------------------------------------------------------------
     def evaluate(self, p_counts: np.ndarray, q_counts: np.ndarray) -> ObjectiveBreakdown:
@@ -436,12 +367,65 @@ class BiCrossbar:
     def evaluate_batch(
         self, p_counts: np.ndarray, q_counts: np.ndarray
     ) -> BatchObjectiveBreakdown:
-        """Evaluate the MAX-QUBO objective for a whole batch of strategy pairs."""
-        max_rows, max_cols = self.phase1_batch(p_counts, q_counts)
-        vmvs = self.phase2_batch(p_counts, q_counts)
-        return BatchObjectiveBreakdown(
-            max_row_values=max_rows, max_col_values=max_cols, vmv_values=vmvs
+        """Evaluate the MAX-QUBO objective for a whole batch of strategy pairs.
+
+        ``p_counts`` is ``(B, n)`` and ``q_counts`` ``(B, m)``.  The batch
+        takes the four reads of :meth:`evaluate` in one pass: Phase 1 of
+        the ``M`` and ``N^T`` crossbars (``(B, n)`` and ``(B, m)``
+        currents), then Phase 2 of each (``(B,)`` totals).  Their read
+        noise is one draw split in that order, which is the stream the
+        four reads drew one by one.  The WTA trees reduce the Phase-1
+        currents, and one ADC pass converts all four reads.  Each value
+        equals chain-by-chain :meth:`evaluate` with the same read noise.
+        """
+        p_counts, q_counts = self._check_batch_counts(p_counts, q_counts)
+        batch = p_counts.shape[0]
+        n, m = self.game.shape
+        rows, cols = self.row_crossbar, self.col_crossbar
+        row_phase1, row_phase2 = rows._gather_blocks(p_counts, q_counts)
+        col_phase1, col_phase2 = cols._gather_blocks(q_counts, p_counts)
+        currents = np.concatenate(
+            [
+                row_phase1.sum(axis=2).ravel(),
+                col_phase1.sum(axis=2).ravel(),
+                row_phase2.sum(axis=(1, 2)),
+                col_phase2.sum(axis=(1, 2)),
+            ]
         )
+        currents *= rows.variability.sample_read_noise(currents.size, seed=self._rng)
+        reads = np.concatenate(
+            [
+                self.row_wta.output_currents_batch_a(currents[: batch * n].reshape(batch, n)),
+                self.col_wta.output_currents_batch_a(
+                    currents[batch * n : batch * (n + m)].reshape(batch, m)
+                ),
+                currents[batch * (n + m) :],
+            ]
+        ).reshape(4, batch)
+        values = self.adc.convert(reads) / self._decode_scales
+        return BatchObjectiveBreakdown(
+            max_row_values=values[0], max_col_values=values[1], vmv_values=values[2] + values[3]
+        )
+
+    def _check_batch_counts(
+        self, p_counts: np.ndarray, q_counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        intervals = self.num_intervals
+        n, m = self.game.shape
+        p_counts = np.asarray(p_counts, dtype=np.int64)
+        q_counts = np.asarray(q_counts, dtype=np.int64)
+        for label, counts, width in (("p_counts", p_counts, n), ("q_counts", q_counts, m)):
+            if counts.ndim != 2 or counts.shape[1] != width:
+                raise ValueError(f"{label} must have shape (batch, {width}), got {counts.shape}")
+            # Read as unsigned, a negative count is larger than any I.
+            if counts.view(np.uint64).max(initial=0) > intervals:
+                raise ValueError(f"{label} must be within [0, {intervals}]")
+        if p_counts.shape[0] != q_counts.shape[0]:
+            raise ValueError(
+                f"p_counts and q_counts disagree on batch size: "
+                f"{p_counts.shape[0]} vs {q_counts.shape[0]}"
+            )
+        return p_counts, q_counts
 
     @property
     def total_cells(self) -> int:

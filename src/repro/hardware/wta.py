@@ -128,10 +128,10 @@ class WTATree:
             self._cells.append(
                 [WTACell(self.parameters, corner=corner, seed=rng) for _ in range(width)]
             )
-        # Per-level static offset factors, pre-stacked for the batched
-        # evaluation path.
+        # Per-level static offset factors as ``(width, 1)`` columns, one
+        # row per cell, for the batched evaluation path.
         self._level_offsets: List[np.ndarray] = [
-            np.array([1.0 + cell._offset_fraction for cell in level])
+            np.array([[1.0 + cell._offset_fraction] for cell in level])
             for level in self._cells
         ]
 
@@ -180,21 +180,27 @@ class WTATree:
             raise ValueError(
                 f"expected shape (batch, {self.num_inputs}), got {inputs.shape}"
             )
-        if np.any(inputs < 0):
+        if inputs.min(initial=0.0) < 0:
             raise ValueError("WTA input currents must be non-negative")
-        batch_size = inputs.shape[0]
-        padded_width = 2**self.num_levels if self.num_levels > 0 else 1
-        values = np.zeros((batch_size, padded_width))
-        values[:, : self.num_inputs] = inputs
-        for level, offsets in zip(self._cells, self._level_offsets):
-            pairs = values.reshape(batch_size, len(level), 2)
+        # Tree inputs along axis 0, chains along axis 1: each level's
+        # ufuncs then run over contiguous rows of chains.
+        padded_width = 2**self.num_levels
+        if padded_width == self.num_inputs:
+            values = np.array(inputs.T, order="C")
+        else:
+            values = np.zeros((padded_width, inputs.shape[0]))
+            values[: self.num_inputs] = inputs.T
+        for offsets in self._level_offsets:
+            left, right = values[0::2], values[1::2]
             # Same arithmetic and operation order as WTACell.output_current_a
             # (min + |diff|, then offset, then mirror gain), so the batched
             # path rounds identically to the scalar one.
-            smaller = pairs.min(axis=2)
-            extra = np.abs(pairs[:, :, 0] - pairs[:, :, 1])
-            values = (smaller + extra) * offsets[None, :] * self.corner.mirror_gain
-        return values[:, 0]
+            extra = np.abs(left - right)
+            values = np.minimum(left, right)
+            values += extra
+            values *= offsets
+            values *= self.corner.mirror_gain
+        return values[0]
 
     def relative_error(self, input_currents_a: np.ndarray) -> float:
         """Relative deviation of the tree output from the exact maximum."""

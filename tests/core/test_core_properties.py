@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import QuantizedStrategyPair, StrategyMoveGenerator, max_qubo_objective
+from repro.core import (
+    BatchedStrategyState,
+    FusedTwoPhaseProblem,
+    IdealEvaluator,
+    QuantizedStrategyPair,
+    StrategyMoveGenerator,
+    max_qubo_objective,
+)
 from repro.games import BimatrixGame
 
 payoffs = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -79,3 +86,54 @@ def test_quantized_pair_probabilities_sum_to_one(counts):
     )
     assert np.isclose(state.p.sum(), 1.0)
     assert np.isclose(state.q.sum(), 1.0)
+
+
+@given(
+    shape=st.one_of(
+        st.sampled_from([(1, 4), (4, 1), (1, 1)]),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ),
+    num_intervals=st.integers(1, 9),
+    num_chains=st.integers(1, 8),
+    num_steps=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fused_candidates_track_a_copy_and_apply_replay(
+    shape, num_intervals, num_chains, num_steps, seed
+):
+    """Full evaluation's candidate buffers equal a copy-and-apply replay.
+
+    The problem moves single candidate cells and restores them on commit;
+    the replay copies the counts and applies each staged move whole.
+    Between iterations the candidates must equal the counts.
+    """
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    game = BimatrixGame(
+        rng.integers(0, 5, (n, m)).astype(float), rng.integers(0, 5, (n, m)).astype(float)
+    )
+    evaluator = IdealEvaluator(game)
+    problem = FusedTwoPhaseProblem(evaluator, num_intervals)
+    problem.begin(num_chains, rng)
+    problem.draw_block(num_steps, rng)
+    p_counts, q_counts = problem.make_snapshot()
+    for step in range(num_steps):
+        energies = problem.propose(step)
+        moves = problem._moves
+        cand_p, cand_q = p_counts.copy(), q_counts.copy()
+        moves.apply(cand_p, cand_q)
+        candidates = problem._cand_view
+        np.testing.assert_array_equal(candidates.p_counts, cand_p)
+        np.testing.assert_array_equal(candidates.q_counts, cand_q)
+        np.testing.assert_array_equal(
+            energies, evaluator.evaluate_batch(BatchedStrategyState(cand_p, cand_q, num_intervals))
+        )
+        accept = rng.random(num_chains) < 0.5
+        problem.commit(accept)
+        moves.accepted(accept).apply(p_counts, q_counts)
+        counts = problem.current_states()
+        np.testing.assert_array_equal(counts.p_counts, p_counts)
+        np.testing.assert_array_equal(counts.q_counts, q_counts)
+        np.testing.assert_array_equal(candidates.p_counts, counts.p_counts)
+        np.testing.assert_array_equal(candidates.q_counts, counts.q_counts)
