@@ -12,6 +12,12 @@ Measures, on this machine:
   The paper-sized rows also time full evaluation through the FeFET
   bi-crossbar model (``HardwareEvaluator``, column ``fused_hardware``):
   Battle of the Sexes always, the Bird game in full runs.
+* **Cost per iteration** — microseconds per fused-kernel iteration of
+  small launches, where the fixed per-step cost dominates: 64 chains on
+  the paper's three games through the solver's own route (full
+  evaluation at 2x2 and 3x3, delta at 8x8) and through the FeFET
+  hardware model, plus delta launches on the rectangular 300x2 and 40x3
+  games at 64 and 512 chains.
 * **End-to-end Table-1 workload** — ``CNashSolver.solve_batch`` on the
   paper's three games for each ``execution`` mode, runs/second and
   success rate.
@@ -152,6 +158,55 @@ def bench_kernels(smoke: bool, repeats: int):
     return records
 
 
+def bench_per_iteration(smoke: bool, repeats: int):
+    """Microseconds per fused-kernel iteration of small launches."""
+    paper = [battle_of_the_sexes(), bird_game(), modified_prisoners_dilemma()]
+    rectangular = [random_game(300, 2, seed=1), random_game(40, 3, seed=1)]
+    num_intervals = 6
+    num_iterations = 200 if smoke else 1000
+    rows = []
+    for game in paper[:1] if smoke else paper:
+        rows.append((game, "ideal", 64))
+        rows.append((game, "hardware", 64))
+    for game in rectangular[:1] if smoke else rectangular:
+        rows.extend((game, "ideal", chains) for chains in ((64,) if smoke else (64, 512)))
+    config = CNashConfig(num_intervals=num_intervals, num_iterations=num_iterations)
+    records = []
+    for game, evaluator_name, chains in rows:
+        if evaluator_name == "ideal":
+            evaluator = IdealEvaluator(game)
+
+            def run():
+                run_two_phase_sa_batch(evaluator, config, chains, seed=0)
+        else:
+            evaluator = HardwareEvaluator(game, BiCrossbar(game, num_intervals, seed=0))
+            annealing = AnnealingConfig(num_iterations=num_iterations, schedule=config.schedule())
+
+            def run():
+                FusedAnnealer(FusedTwoPhaseProblem(evaluator, num_intervals), annealing).run(
+                    chains, seed=0
+                )
+
+        n, m = game.shape
+        route = "delta" if evaluator.supports_incremental() and n * m >= 36 else "full"
+        seconds = _best_of(repeats, run)
+        record = {
+            "game": game.name,
+            "shape": [n, m],
+            "evaluator": evaluator_name,
+            "route": route,
+            "chains": chains,
+            "num_iterations": num_iterations,
+            "us_per_iteration": round(seconds / num_iterations * 1e6, 1),
+        }
+        records.append(record)
+        print(
+            f"[per-iteration] {n}x{m} {evaluator_name} ({route}), {chains} chains: "
+            f"{record['us_per_iteration']} us/iteration"
+        )
+    return records
+
+
 def bench_end_to_end(smoke: bool):
     """Table-1 workload through ``CNashSolver.solve_batch`` per mode."""
     if smoke:
@@ -213,6 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     kernels = bench_kernels(args.smoke, max(1, args.repeats))
+    per_iteration = bench_per_iteration(args.smoke, max(1, args.repeats))
     end_to_end = [] if args.skip_end_to_end else bench_end_to_end(args.smoke)
 
     headline = max(kernels, key=lambda record: record["shape"][0] * record["shape"][1])
@@ -226,6 +282,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
         },
         "kernel_throughput": kernels,
+        "per_iteration": per_iteration,
         "end_to_end_table1": end_to_end,
         "headline": {
             "workload": headline["workload"],

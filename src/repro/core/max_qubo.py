@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +139,30 @@ class IdealEvaluator(ObjectiveEvaluator):
         return True
 
 
+@dataclass(frozen=True)
+class _MoverRows:
+    """The mover rows one gather/add/max pass of :class:`StackedIncrementalState` serves.
+
+    A move of local row ``r`` (stacked row ``first + r``) from action
+    ``j`` to ``k`` shifts ``values[r]`` by ``moves[base[r] + k] −
+    moves[base[r] + j]`` over ``I``, reads the bilinear change from the
+    flat ``reads`` at ``r·read_width + k`` and ``+ j``, and on commit adds
+    ``combined[base[r] + k] − combined[base[r] + j]`` over ``I`` to
+    ``updates[update_rows[r]]`` (to ``updates[r]`` when ``update_rows``
+    is ``None``).
+    """
+
+    first: int
+    values: np.ndarray
+    reads: np.ndarray
+    read_width: int
+    updates: np.ndarray
+    update_rows: Optional[np.ndarray]
+    base: np.ndarray
+    moves: np.ndarray
+    combined: np.ndarray
+
+
 class StackedIncrementalState:
     """Per-chain action-value caches for O(n+m) delta evaluation.
 
@@ -151,17 +175,31 @@ class StackedIncrementalState:
     rank-1 perturbation of cached quantities rather than a fresh
     ``O(n·m)`` product.  The cache holds, for every chain:
 
-    * ``row_values = M q``  (``(B, n)``) and its max;
-    * ``col_values = N^T p``  (``(B, m)``) and its max;
+    * ``col_values = N^T p`` (``(B, m)``), which a row-player move
+      changes, and ``row_values = M q`` (``(B, n)``), which a
+      column-player move changes;
+    * their maxima, stacked as ``maxima`` (``(2B,)``): ``maxima[b]`` is
+      ``max(N^T p)`` and ``maxima[B + b]`` is ``max(M q)``;
     * ``bilinear = p^T C q`` with ``C = M + N``;
-    * the helper products ``u = p^T C`` (``(B, m)``) and ``w = C q``
-      (``(B, n)``) that turn the bilinear update into two gathers.
+    * the helper products ``w = C q`` (``(B, n)``), which a row-player
+      move reads, and ``u = p^T C`` (``(B, m)``), which a column-player
+      move reads, turning the bilinear update into two gathers.
 
-    A column-player move ``j -> k`` updates ``row_values`` by
-    ``(M[:, k] − M[:, j]) / I``, leaves ``col_values`` untouched and
-    shifts the bilinear term by ``(u[k] − u[j]) / I``; the row player is
-    symmetric through ``col_values``/``w``.  :meth:`resync` recomputes
-    everything from the counts with the same full-product expressions as
+    Moves come as a :class:`~repro.core.strategy.TransferMoveBatch` over
+    the stacked rows ``player·B + chain``, in the order of
+    :func:`~repro.core.strategy.plan_transfers` (on rectangular games,
+    ascending rows).  A column-player move
+    ``j -> k`` updates ``row_values`` by ``(M[:, k] − M[:, j]) / I`` and
+    shifts the bilinear term by ``(u[k] − u[j]) / I``; on commit it adds
+    ``(C[:, k] − C[:, j]) / I`` to ``w``.  The row player is symmetric
+    through ``col_values``/``w``/``u``.  On square games the values and
+    the helpers are stacked like the moves — ``(2B, w)`` arrays whose row
+    ``r`` is what a move of row ``r`` changes or reads — and the payoff
+    rows and columns are one ``(K·n + K·m, n)`` table, so a step is one
+    gather, one add and one row max for both players.  Rectangular games
+    keep each player's arrays at their exact widths and run the same
+    pass once per player.  :meth:`resync` recomputes everything from the
+    counts with the same full-product expressions as
     :meth:`IdealEvaluator.evaluate_batch`, bounding float drift on long
     runs (call it every K iterations).  With payoffs and ``1/I`` exactly
     representable (integer payoffs, power-of-two ``I``) every update is
@@ -173,9 +211,9 @@ class StackedIncrementalState:
     scheduler job each) into a single kernel launch, so the
     per-iteration Python overhead of the fused loop is paid once per
     batch instead of once per job.  Chain ``b`` belongs to game
-    ``chain_games[b]`` and every payoff gather indexes a ``(K, n, m)``
-    stack with that per-chain game index; a solo launch is a one-game
-    stack.
+    ``chain_games[b]`` and every payoff gather indexes a stack of the
+    ``K`` games' rows and columns with that per-chain game index; a solo
+    launch is a one-game stack.
 
     Bit-identity contract: a chain advances *flip-for-flip* identically
     whichever games share its stack.
@@ -215,23 +253,21 @@ class StackedIncrementalState:
             combined = [game.payoff_row + game.payoff_col for game in games]
         # np.stack always yields fresh C-contiguous stacks, and the cols
         # variants are built as one vectorised transpose-copy of the
-        # stack rather than per-game copies.  All four stay C-contiguous:
-        # the per-iteration gathers want contiguous rows, and layout
-        # selects the BLAS path in resync, which must not depend on the
-        # number of stacked games.
+        # stack rather than per-game copies.  All stay C-contiguous: the
+        # per-iteration gathers want contiguous rows, and layout selects
+        # the BLAS path in resync, which must not depend on the number of
+        # stacked games.
         self._row_payoff = np.stack([game.payoff_row for game in games])
-        self._row_payoff_cols = np.ascontiguousarray(
-            self._row_payoff.transpose(0, 2, 1)
-        )
         self._col_payoff_rows = np.stack([game.payoff_col for game in games])
         self._combined_rows = np.stack(list(combined))
         self._combined_cols = np.ascontiguousarray(
             self._combined_rows.transpose(0, 2, 1)
         )
         chain_games = np.asarray(chain_games, dtype=np.int64)
-        if chain_games.shape != (states.batch_size,):
+        batch_size = states.batch_size
+        if chain_games.shape != (batch_size,):
             raise ValueError(
-                f"chain_games must have shape ({states.batch_size},), "
+                f"chain_games must have shape ({batch_size},), "
                 f"got {chain_games.shape}"
             )
         if np.any(np.diff(chain_games) < 0):
@@ -240,38 +276,82 @@ class StackedIncrementalState:
             0 <= chain_games[0] and chain_games[-1] < len(games)
         ):
             raise ValueError("chain_games indexes outside the game stack")
-        self._chain_games = chain_games
-        # Flattened (game*actions, actions) gather views plus per-chain
-        # flat bases: the per-iteration gathers pick [game, action]
-        # rows, and one flat first-axis index selects the exact same
-        # elements as 2-D advanced indexing at measurably lower cost.
-        num_rows, num_cols = shape
-        self._flat_row_payoff_cols = self._row_payoff_cols.reshape(-1, num_rows)
-        self._flat_col_payoff_rows = self._col_payoff_rows.reshape(-1, num_cols)
-        self._flat_combined_rows = self._combined_rows.reshape(-1, num_cols)
-        self._flat_combined_cols = self._combined_cols.reshape(-1, num_rows)
-        self._chain_base_rows = chain_games * num_rows
-        self._chain_base_cols = chain_games * num_cols
         # Contiguous chain slice of every game block (possibly empty).
         starts = np.searchsorted(chain_games, np.arange(len(games)), side="left")
         stops = np.searchsorted(chain_games, np.arange(len(games)), side="right")
         self._blocks = [slice(int(a), int(b)) for a, b in zip(starts, stops)]
+        self._batch_size = batch_size
         self._inv_intervals = 1.0 / states.num_intervals
-        self._staged_moves: Optional[TransferMoveBatch] = None
+        self._parts = self._mover_rows(chain_games, shape, len(games))
+        self.maxima = np.empty(2 * batch_size)
+        self.bilinear = np.empty(batch_size)
+        self._staged: Optional[list] = None
         self.resync(states)
+
+    def _mover_rows(
+        self, chain_games: np.ndarray, shape: Tuple[int, int], num_games: int
+    ) -> List[_MoverRows]:
+        """Allocate the caches and group the mover rows into gather passes.
+
+        A row-player move (row ``b``) reads rows of ``N`` and adds rows
+        of ``C`` to ``u``; a column-player move (row ``B + b``) reads
+        columns of ``M`` and adds columns of ``C`` to ``w``.  The move
+        tables list those rows and columns flat, ``(K·n, m)`` and
+        ``(K·m, n)``; ``base`` is each mover row's game offset into them.
+        """
+        num_rows, num_cols = shape
+        batch_size = self._batch_size
+        row_moves = self._col_payoff_rows.reshape(-1, num_cols)
+        row_combined = self._combined_rows.reshape(-1, num_cols)
+        col_moves = np.ascontiguousarray(self._row_payoff.transpose(0, 2, 1)).reshape(
+            -1, num_rows
+        )
+        col_combined = self._combined_cols.reshape(-1, num_rows)
+        row_base = chain_games * num_rows
+        col_base = chain_games * num_cols
+        if num_rows == num_cols:
+            # Row r of values/helpers is what a move of stacked row r
+            # changes/reads; an accepted move updates the other player's
+            # helper row.
+            values = np.empty((2 * batch_size, num_rows))
+            helpers = np.empty((2 * batch_size, num_rows))
+            self.col_values, self.row_values = values[:batch_size], values[batch_size:]
+            self.w, self.u = helpers[:batch_size], helpers[batch_size:]
+            chains = np.arange(batch_size)
+            return [
+                _MoverRows(
+                    first=0,
+                    values=values,
+                    reads=helpers.reshape(-1),
+                    read_width=num_rows,
+                    updates=helpers,
+                    update_rows=np.concatenate((chains + batch_size, chains)),
+                    base=np.concatenate((row_base, col_base + num_games * num_rows)),
+                    moves=np.concatenate((row_moves, col_moves)),
+                    combined=np.concatenate((row_combined, col_combined)),
+                )
+            ]
+        # Stacking a rectangular game would pad the narrower player to
+        # max(n, m) and gather the padding too; keep each player exact.
+        self.col_values = np.empty((batch_size, num_cols))
+        self.row_values = np.empty((batch_size, num_rows))
+        self.w = np.empty((batch_size, num_rows))
+        self.u = np.empty((batch_size, num_cols))
+        return [
+            _MoverRows(
+                0, self.col_values, self.w.reshape(-1), num_rows, self.u, None,
+                row_base, row_moves, row_combined,
+            ),
+            _MoverRows(
+                batch_size, self.row_values, self.u.reshape(-1), num_cols, self.w, None,
+                col_base, col_moves, col_combined,
+            ),
+        ]
 
     def resync(self, states: BatchedStrategyState) -> np.ndarray:
         """Rebuild every cache per game block via full products; returns the energies."""
         p = states.p
         q = states.q
-        batch_size = p.shape[0]
-        n = self._row_payoff.shape[1]
-        m = self._row_payoff.shape[2]
-        self.row_values = np.empty((batch_size, n))
-        self.col_values = np.empty((batch_size, m))
-        self.bilinear = np.empty(batch_size)
-        self.u = np.empty((batch_size, m))
-        self.w = np.empty((batch_size, n))
         for index, block in enumerate(self._blocks):
             if block.start == block.stop:
                 continue
@@ -284,75 +364,91 @@ class StackedIncrementalState:
             )
             self.u[block] = p[block] @ self._combined_rows[index]
             self.w[block] = q[block] @ self._combined_cols[index]
-        self.row_max = self.row_values.max(axis=1)
-        self.col_max = self.col_values.max(axis=1)
-        self._staged_moves = None
+        batch_size = self._batch_size
+        self.maxima[:batch_size] = self.col_values.max(axis=1)
+        self.maxima[batch_size:] = self.row_values.max(axis=1)
+        self._staged = None
         return self.energies()
 
     def energies(self) -> np.ndarray:
         """Current per-chain objectives from the cached components."""
-        return self.row_max + self.col_max - self.bilinear
+        batch_size = self._batch_size
+        return self.maxima[batch_size:] + self.maxima[:batch_size] - self.bilinear
+
+    def _split(self, moves: TransferMoveBatch) -> list:
+        """Each gather pass's ``(entries, local rows, source, target)`` of ``moves``.
+
+        ``entries`` is the slice of ``moves`` the pass serves: all of them
+        on square games; on rectangular games the row player's movers,
+        which :func:`~repro.core.strategy.plan_transfers` lists first, and
+        then the column player's.
+        """
+        rows, source, target = moves.rows, moves.source, moves.target
+        if len(self._parts) == 1:
+            return [(slice(None), rows, source, target)]
+        split = int(np.searchsorted(rows, self._batch_size))
+        head, tail = slice(None, split), slice(split, None)
+        return [
+            (head, rows[head], source[head], target[head]),
+            (tail, rows[tail] - self._batch_size, source[tail], target[tail]),
+        ]
 
     def candidate_energies(self, moves: TransferMoveBatch) -> np.ndarray:
         """Per-chain candidate objectives via game-indexed rank-1 updates."""
         inv = self._inv_intervals
-        cand_row_max = self.row_max.copy()
-        cand_col_max = self.col_max.copy()
+        batch_size = self._batch_size
+        cand_maxima = self.maxima.copy()
         cand_bilinear = self.bilinear.copy()
-        rows, source, target = moves.q_rows, moves.q_source, moves.q_target
-        if rows.size:
-            flat = self._flat_row_payoff_cols
-            base = self._chain_base_cols[rows]
-            self._d_row = (flat[base + target] - flat[base + source]) * inv
-            cand_row_max[rows] = (self.row_values[rows] + self._d_row).max(axis=1)
-            u_flat = self.u.reshape(-1)
-            u_base = rows * self.u.shape[1]
-            cand_bilinear[rows] += (u_flat[u_base + target] - u_flat[u_base + source]) * inv
-        rows, source, target = moves.p_rows, moves.p_source, moves.p_target
-        if rows.size:
-            flat = self._flat_col_payoff_rows
-            base = self._chain_base_rows[rows]
-            self._d_col = (flat[base + target] - flat[base + source]) * inv
-            cand_col_max[rows] = (self.col_values[rows] + self._d_col).max(axis=1)
-            w_flat = self.w.reshape(-1)
-            w_base = rows * self.w.shape[1]
-            cand_bilinear[rows] += (w_flat[w_base + target] - w_flat[w_base + source]) * inv
-        self._staged_moves = moves
-        self._cand_row_max = cand_row_max
-        self._cand_col_max = cand_col_max
+        self._staged = []
+        for part, (entries, rows, source, target) in zip(self._parts, self._split(moves)):
+            if not rows.size:
+                self._staged.append(None)
+                continue
+            base = part.base[rows]
+            delta = (part.moves[base + target] - part.moves[base + source]) * inv
+            values = part.values[rows] + delta
+            cand_maxima[part.first + rows] = values.max(axis=1)
+            at = rows * part.read_width
+            change = (part.reads[at + target] - part.reads[at + source]) * inv
+            if rows.size == batch_size:
+                # One entry per chain, in chain order.
+                cand_bilinear += change
+            else:
+                # Only rectangular passes skip chains; their rows are chains.
+                cand_bilinear[rows] += change
+            self._staged.append((entries, base, values))
+        self._cand_maxima = cand_maxima
         self._cand_bilinear = cand_bilinear
-        return cand_row_max + cand_col_max - cand_bilinear
+        return cand_maxima[batch_size:] + cand_maxima[:batch_size] - cand_bilinear
 
     def commit(self, accept: np.ndarray, accepted: TransferMoveBatch) -> None:
         """Fold the staged candidate caches into the accepted chains.
 
         ``accepted`` is the staged batch's ``accepted(accept)``: the caller
         filters the moves once and shares them with its count update; its
-        ``p_keep`` / ``q_keep`` masks filter the staged deltas here.
+        ``keep`` mask filters the staged deltas here.
         """
-        if self._staged_moves is None:
+        if self._staged is None:
             raise RuntimeError("commit() without a staged candidate_energies() call")
         inv = self._inv_intervals
-        rows = accepted.q_rows
-        if rows.size:
-            flat = self._flat_combined_cols
-            base = self._chain_base_cols[rows]
-            self.row_values[rows] += self._d_row[accepted.q_keep]
-            self.w[rows] += (
-                flat[base + accepted.q_target] - flat[base + accepted.q_source]
+        for part, (_, rows, source, target), staged in zip(
+            self._parts, self._split(accepted), self._staged
+        ):
+            if not rows.size:
+                continue
+            entries, base, values = staged
+            keep = accepted.keep[entries]
+            part.values[rows] = values[keep]
+            base = base[keep]
+            updates = rows if part.update_rows is None else part.update_rows[rows]
+            part.updates[updates] += (
+                part.combined[base + target] - part.combined[base + source]
             ) * inv
-        rows = accepted.p_rows
-        if rows.size:
-            flat = self._flat_combined_rows
-            base = self._chain_base_rows[rows]
-            self.col_values[rows] += self._d_col[accepted.p_keep]
-            self.u[rows] += (
-                flat[base + accepted.p_target] - flat[base + accepted.p_source]
-            ) * inv
-        np.copyto(self.row_max, self._cand_row_max, where=accept)
-        np.copyto(self.col_max, self._cand_col_max, where=accept)
+        np.copyto(
+            self.maxima.reshape(2, -1), self._cand_maxima.reshape(2, -1), where=accept
+        )
         np.copyto(self.bilinear, self._cand_bilinear, where=accept)
-        self._staged_moves = None
+        self._staged = None
 
     @classmethod
     def from_evaluators(

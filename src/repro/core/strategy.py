@@ -102,18 +102,34 @@ class QuantizedStrategyPair:
         return cls(quantizer.to_counts(p), quantizer.to_counts(q), num_intervals)
 
 
-class ActionSupport:
-    """One player's count array with every chain's positive actions listed.
+def stack_counts(p_counts: np.ndarray, q_counts: np.ndarray) -> np.ndarray:
+    """Both players' counts as one C-contiguous ``(2B, w)`` array, ``w = max(n, m)``.
 
-    ``actions[b, :size[b]]`` holds, in ascending order, the actions of
-    chain ``b`` that have at least one interval in ``counts[b]``; the
-    remaining slots hold the sentinel ``n`` (the number of actions).
+    Row ``b`` holds chain ``b``'s row-player counts and row ``B + b`` its
+    column-player counts (row ``player·B + chain``, player 0 being the
+    row player); the narrower player's extra columns hold 0.
+    """
+    batch_size, num_rows = p_counts.shape
+    num_cols = q_counts.shape[1]
+    counts = np.zeros((2 * batch_size, max(num_rows, num_cols)), dtype=np.int64)
+    counts[:batch_size, :num_rows] = p_counts
+    counts[batch_size:, :num_cols] = q_counts
+    return counts
+
+
+class ActionSupport:
+    """A count array with every row's positive actions listed.
+
+    ``actions[r, :size[r]]`` holds, in ascending order, the actions of
+    row ``r`` that have at least one interval in ``counts[r]``; the
+    remaining slots hold the sentinel ``n`` (the number of columns).
     ``I`` intervals sit on at most ``min(n, I)`` actions, so the width
     ``min(n, I) + 1`` leaves every row at least one sentinel slot: the
     last column is always free.  A move's donor is read out of the list
-    in ``O(1)`` per chain instead of by a scan over all ``n`` counts, and
+    in ``O(1)`` per row instead of by a scan over all ``n`` counts, and
     :meth:`transfer` keeps the lists current as moves commit, touching
-    only the moved chains.
+    only the moved rows.  The fused problems keep one list over both
+    players' rows of a :func:`stack_counts` array.
     """
 
     def __init__(self, counts: np.ndarray, num_intervals: Optional[int] = None) -> None:
@@ -131,12 +147,12 @@ class ActionSupport:
         self.num_actions = num_actions
         self.size = positive.sum(axis=1)
         self.actions = np.full((num_chains, width), num_actions, dtype=np.int64)
-        # Row-major positions list each chain's actions in ascending order;
-        # a position minus its chain's first position is the action's slot.
+        # Row-major positions list each row's actions in ascending order;
+        # a position minus its row's first position is the action's slot.
         chains, positive_actions = np.nonzero(positive)
         first = np.cumsum(self.size) - self.size
         self.actions[chains, np.arange(chains.size) - first[chains]] = positive_actions
-        # Flat views and per-chain flat offsets: one flat index reads and
+        # Flat views and per-row flat offsets: one flat index reads and
         # writes the same cells as 2-D advanced indexing, at lower cost.
         self._flat_counts = counts.reshape(-1)
         self._flat_actions = self.actions.reshape(-1)
@@ -144,20 +160,21 @@ class ActionSupport:
         self._list_base = np.arange(num_chains) * width
 
     def pick(self, rows: np.ndarray, u_donor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Donor action and its slot for every chain of ``rows``.
+        """Donor action and its slot for every row of ``rows``.
 
-        The donor is the ``floor(u·size)``-th positive action in
-        ascending order (``u = u_donor[row]``), clamped to the last one.
+        The donor of ``rows[k]`` is the ``floor(u·size)``-th positive
+        action in ascending order (``u = u_donor[k]``, the row's own
+        uniform), clamped to the last one.
         """
         size = self.size[rows]
-        slot = (u_donor[rows] * size).astype(np.int64)
+        slot = (u_donor * size).astype(np.int64)
         np.minimum(slot, size - 1, out=slot)
         return self._flat_actions[self._list_base[rows] + slot], slot
 
     def transfer(
         self, rows: np.ndarray, source: np.ndarray, target: np.ndarray, slot: np.ndarray
     ) -> None:
-        """Move one interval from ``source`` to ``target`` in each chain of ``rows``.
+        """Move one interval from ``source`` to ``target`` in each row of ``rows``.
 
         ``slot`` is each donor's slot, as :meth:`pick` returned it.  A
         donor left empty frees its slot; a receiver that gains its first
@@ -184,29 +201,69 @@ class ActionSupport:
         self.size[rows] = self.size[rows] + opened - emptied
 
 
-_EMPTY_INDEX = np.empty(0, dtype=np.int64)
+#: Per step of a block: the mover rows, every chain's donor uniform and
+#: receiver base, and each mover row's chain (``None`` when entry ``k`` is
+#: chain ``k``).
+TransferPlan = Tuple[
+    Sequence[np.ndarray],
+    Sequence[np.ndarray],
+    Sequence[np.ndarray],
+    Optional[Sequence[np.ndarray]],
+]
 
 
-def _pick_transfer(
-    support: ActionSupport, rows: np.ndarray, u_donor: np.ndarray, u_receiver: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Donor/receiver actions (and donor slots) for the chains in ``rows``.
+def plan_transfers(
+    shape: Tuple[int, int],
+    u_player: np.ndarray,
+    u_donor: np.ndarray,
+    u_receiver: np.ndarray,
+) -> TransferPlan:
+    """Everything a block's moves need before their donors are known.
 
-    Samples the same distribution as the scalar
-    :meth:`StrategyMoveGenerator._transfer` — donor uniform over the
-    actions holding at least one interval, receiver uniform over the
-    remaining actions — for every chain of ``rows`` at once and from
-    pre-drawn ``U[0, 1)`` variates instead of fresh generator calls, so
-    a whole block of iterations can share one draw.
+    The uniforms are ``(steps, B)`` rows of one block.  Chain ``b`` moves
+    its row player when ``u_player < 0.5`` and its column player
+    otherwise, so its mover row in a :func:`stack_counts` array is
+    ``b + B·(u_player ≥ 0.5)``.  With ``a`` the mover's action count, the
+    receiver base ``t0 = min(int(u_receiver·(a − 1)), a − 2)`` becomes the
+    receiver ``t0 + (t0 ≥ donor)`` once :func:`_pick_transfer` has picked
+    the donor.
+
+    On square games every chain moves and entry ``k`` of a step is chain
+    ``k``.  Rectangular games list each step's mover rows in ascending
+    order — the row player's movers first, so that each player's moves
+    are one slice — and a mover with a single action keeps the identity
+    move, so its chain is left out of that step (1×n and n×1 games).
     """
-    num_actions = support.num_actions
-    if num_actions < 2 or rows.size == 0:
-        return _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX, _EMPTY_INDEX
-    source, slot = support.pick(rows, u_donor)
-    target = (u_receiver[rows] * (num_actions - 1)).astype(np.int64)
-    np.minimum(target, num_actions - 2, out=target)
-    target += target >= source
-    return rows, source, target, slot
+    batch_size = u_player.shape[1]
+    num_rows, num_cols = shape
+    column = u_player >= 0.5
+    # In place: mixed-type expressions over a whole block cost more.
+    rows = column.astype(np.int64)
+    rows *= batch_size
+    rows += np.arange(batch_size)
+    if num_rows == num_cols >= 2:
+        receiver = (u_receiver * (num_rows - 1)).astype(np.int64)
+        np.minimum(receiver, num_rows - 2, out=receiver)
+        return rows, u_donor, receiver, None
+    # The product u·(a − 1) of the square case, as the float (a − 1)·u.
+    receiver = np.where(column, float(num_cols - 1), float(num_rows - 1))
+    receiver *= u_receiver
+    receiver = receiver.astype(np.int64)
+    np.minimum(receiver, np.where(column, num_cols - 2, num_rows - 2), out=receiver)
+    rows.sort(axis=1)
+    chains = rows % batch_size
+    if min(num_rows, num_cols) >= 2:
+        return rows, u_donor, receiver, chains
+    # Drop a one-action player's rows: its movers open or close each step.
+    row_movers = batch_size - np.count_nonzero(column, axis=1)
+    starts = row_movers if num_rows < 2 else np.zeros_like(row_movers)
+    stops = row_movers if num_cols < 2 else np.full_like(row_movers, batch_size)
+    return (
+        [step[start:stop] for step, start, stop in zip(rows, starts, stops)],
+        u_donor,
+        receiver,
+        [step[start:stop] for step, start, stop in zip(chains, starts, stops)],
+    )
 
 
 @dataclass
@@ -214,84 +271,76 @@ class TransferMoveBatch:
     """One structured interval-transfer move per chain.
 
     Instead of materialising candidate count arrays, the fused annealing
-    kernel represents each chain's proposal as *(player, from-action,
-    to-action)*: the moving player transfers one interval of probability
-    mass from ``source`` to ``target``.  Chains are grouped by moving
-    player so evaluators can apply the two rank-1 update families with
-    one gather each.  Chains whose chosen player has fewer than two
-    actions appear in neither group — their proposal is the identity
-    move (matching :meth:`StrategyMoveGenerator.propose`, which leaves
-    such a player unchanged).
+    kernel represents each chain's proposal as *(mover row, from-action,
+    to-action)*: row ``rows[k]`` of a :func:`stack_counts` array (row
+    ``player·B + chain``) transfers one interval of probability mass from
+    ``source[k]`` to ``target[k]``, one entry per chain at most, in the
+    order of :func:`plan_transfers`.  Chains whose mover has fewer than
+    two actions have no entry — their proposal is the identity move
+    (matching :meth:`StrategyMoveGenerator.propose`, which leaves such a
+    player unchanged).
     """
 
-    #: Chain indices whose *row* player moves, with per-entry actions
-    #: and the donor's slot in its chain's :class:`ActionSupport` list.
-    p_rows: np.ndarray
-    p_source: np.ndarray
-    p_target: np.ndarray
-    p_slot: np.ndarray
-    #: Chain indices whose *column* player moves, likewise.
-    q_rows: np.ndarray
-    q_source: np.ndarray
-    q_target: np.ndarray
-    q_slot: np.ndarray
-    #: On a batch made by :meth:`accepted`: per player, which entries of
-    #: the unfiltered batch it kept.
-    p_keep: Optional[np.ndarray] = None
-    q_keep: Optional[np.ndarray] = None
-
-    @classmethod
-    def sample(
-        cls,
-        p_support: ActionSupport,
-        q_support: ActionSupport,
-        u_player: np.ndarray,
-        u_donor: np.ndarray,
-        u_receiver: np.ndarray,
-    ) -> "TransferMoveBatch":
-        """One move per chain, read from both players' support lists.
-
-        See :func:`sample_transfer_moves` for the move distribution.
-        """
-        move_p = u_player < 0.5
-        p_rows, p_source, p_target, p_slot = _pick_transfer(
-            p_support, np.flatnonzero(move_p), u_donor, u_receiver
-        )
-        q_rows, q_source, q_target, q_slot = _pick_transfer(
-            q_support, np.flatnonzero(~move_p), u_donor, u_receiver
-        )
-        return cls(p_rows, p_source, p_target, p_slot, q_rows, q_source, q_target, q_slot)
+    rows: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    #: Each donor's slot in its row's :class:`ActionSupport` list.
+    slot: np.ndarray
+    #: Each entry's chain; ``None`` when entry ``k`` is chain ``k``.  A
+    #: batch made by :meth:`accepted` records ``keep`` instead.
+    chains: Optional[np.ndarray] = None
+    #: On a batch made by :meth:`accepted`: which entries of the
+    #: unfiltered batch it kept.
+    keep: Optional[np.ndarray] = None
 
     def accepted(self, accept: np.ndarray) -> "TransferMoveBatch":
-        """The moves of the chains that ``accept`` marks, filtered once.
+        """The moves of the chains that ``accept`` (one flag per chain) marks.
 
-        The result's ``p_keep`` / ``q_keep`` masks let arrays computed
-        per entry of this batch be filtered the same way.
+        The result's ``keep`` mask lets arrays computed per entry of this
+        batch be filtered the same way.
         """
-        p_keep = accept[self.p_rows]
-        q_keep = accept[self.q_rows]
+        keep = accept if self.chains is None else accept[self.chains]
         return TransferMoveBatch(
-            self.p_rows[p_keep], self.p_source[p_keep], self.p_target[p_keep],
-            self.p_slot[p_keep],
-            self.q_rows[q_keep], self.q_source[q_keep], self.q_target[q_keep],
-            self.q_slot[q_keep],
-            p_keep, q_keep,
+            self.rows[keep], self.source[keep], self.target[keep], self.slot[keep], keep=keep
         )
 
     def apply(self, p_counts: np.ndarray, q_counts: np.ndarray) -> None:
-        """Apply every move of the batch to the counts in place.
+        """Apply every move of the batch to the two players' counts in place.
 
         To apply only some chains' moves, apply :meth:`accepted`'s batch.
         The fused kernel moves single cells through flat indices instead;
         this is the plain reference its tests replay against.
         """
-        for rows, source, target, counts in (
-            (self.p_rows, self.p_source, self.p_target, p_counts),
-            (self.q_rows, self.q_source, self.q_target, q_counts),
-        ):
-            if rows.size:
-                counts[rows, source] -= 1
-                counts[rows, target] += 1
+        batch_size = p_counts.shape[0]
+        column = self.rows >= batch_size
+        for counts, mask, first in ((p_counts, ~column, 0), (q_counts, column, batch_size)):
+            rows = self.rows[mask] - first
+            counts[rows, self.source[mask]] -= 1
+            counts[rows, self.target[mask]] += 1
+
+
+def _pick_transfer(
+    support: ActionSupport,
+    rows: np.ndarray,
+    u_donor: np.ndarray,
+    receiver: np.ndarray,
+    chains: Optional[np.ndarray] = None,
+) -> TransferMoveBatch:
+    """One step's moves: a donor per mover row, then its receiver.
+
+    Samples the same distribution as the scalar
+    :meth:`StrategyMoveGenerator._transfer` — donor uniform over the
+    actions holding at least one interval, receiver uniform over the
+    remaining actions — for every row of ``rows`` at once and from
+    pre-drawn ``U[0, 1)`` variates instead of fresh generator calls, so
+    a whole block of iterations can share one draw.  The arguments after
+    ``support`` are one step of :func:`plan_transfers`.
+    """
+    if chains is not None:
+        u_donor = u_donor[chains]
+        receiver = receiver[chains]
+    source, slot = support.pick(rows, u_donor)
+    return TransferMoveBatch(rows, source, receiver + (receiver >= source), slot, chains)
 
 
 def sample_transfer_moves(
@@ -307,16 +356,17 @@ def sample_transfer_moves(
     column player otherwise; the move transfers a single interval of
     probability mass between two actions of that player (the Alg.-1
     neighbourhood, identical in distribution to
-    :meth:`StrategyMoveGenerator.propose`).  Stateless: builds both
-    players' :class:`ActionSupport` lists from the counts, then samples
-    exactly as the fused kernel does from its maintained lists.
+    :meth:`StrategyMoveGenerator.propose`).  Stateless: stacks the counts
+    and builds their :class:`ActionSupport` list, then samples exactly as
+    the fused kernel does from its maintained list.
     """
-    return TransferMoveBatch.sample(
-        ActionSupport(np.ascontiguousarray(p_counts)),
-        ActionSupport(np.ascontiguousarray(q_counts)),
-        u_player,
-        u_donor,
-        u_receiver,
+    shape = (p_counts.shape[1], q_counts.shape[1])
+    rows, donor, receiver, chains = plan_transfers(
+        shape, u_player[None], u_donor[None], u_receiver[None]
+    )
+    support = ActionSupport(stack_counts(p_counts, q_counts))
+    return _pick_transfer(
+        support, rows[0], donor[0], receiver[0], None if chains is None else chains[0]
     )
 
 

@@ -39,6 +39,10 @@ from repro.core.strategy import (
     QuantizedStrategyPair,
     StrategyMoveGenerator,
     TransferMoveBatch,
+    TransferPlan,
+    _pick_transfer,
+    plan_transfers,
+    stack_counts,
 )
 from repro.utils.rng import SeedLike
 
@@ -81,35 +85,51 @@ class TwoPhaseAnnealingProblem(AnnealingProblem[QuantizedStrategyPair]):
 class _CountBuffers:
     """Count buffers, move staging and snapshots shared by both fused problems.
 
-    Both keep their chains' interval counts in ``_p_counts`` /
-    ``_q_counts`` (viewed by ``_state_view``), mirror them in one
-    :class:`ActionSupport` per player, and stage one structured
-    interval-transfer move per chain from the block uniforms in
-    ``_uniforms``.
+    Both keep their ``B`` chains' interval counts in one C-contiguous
+    ``(2B, w)`` array ``_counts`` (:func:`stack_counts`: row
+    ``player·B + chain``, ``w = max(n, m)``), viewed per player by
+    ``_state_view``, and mirror it in one :class:`ActionSupport` over all
+    ``2B`` rows.  Each block's uniforms become per-step mover rows, donor
+    uniforms and receiver bases once (:func:`plan_transfers`), so staging
+    a step's moves is one :func:`_pick_transfer`.
     """
 
     num_intervals: int
-    _p_counts: np.ndarray
-    _q_counts: np.ndarray
-    _p_support: ActionSupport
-    _q_support: ActionSupport
+    _shape: Tuple[int, int]
+    _counts: np.ndarray
+    _support: ActionSupport
     _state_view: BatchedStrategyState
-    _uniforms: np.ndarray
+    _plan: TransferPlan
     _moves: Optional[TransferMoveBatch] = None
 
     def _set_counts(self, p_counts: np.ndarray, q_counts: np.ndarray) -> None:
-        """Adopt the chains' initial counts and build their support lists."""
-        self._p_counts = p_counts
-        self._q_counts = q_counts
-        self._p_support = ActionSupport(p_counts, self.num_intervals)
-        self._q_support = ActionSupport(q_counts, self.num_intervals)
-        self._state_view = BatchedStrategyState(p_counts, q_counts, self.num_intervals)
+        """Adopt the chains' initial counts and build their support list."""
+        self._counts = stack_counts(p_counts, q_counts)
+        self._batch_size = p_counts.shape[0]
+        self._support = ActionSupport(self._counts, self.num_intervals)
+        self._state_view = self._player_views(self._counts)
+
+    def _player_views(self, counts: np.ndarray) -> BatchedStrategyState:
+        """The two players' counts of a ``(2B, w)`` array as views."""
+        n, m = self._shape
+        batch_size = self._batch_size
+        return BatchedStrategyState(
+            counts[:batch_size, :n], counts[batch_size:, :m], self.num_intervals
+        )
+
+    def _plan_block(self, uniforms: np.ndarray) -> None:
+        """Plan a block's moves from its ``(3, steps, B)`` proposal uniforms."""
+        self._plan = plan_transfers(self._shape, *uniforms)
 
     def _stage_moves(self, step: int) -> TransferMoveBatch:
         """Sample the ``step``-th move of the block and keep it for :meth:`_apply_moves`."""
-        u_player, u_donor, u_receiver = self._uniforms[:, step]
-        self._moves = TransferMoveBatch.sample(
-            self._p_support, self._q_support, u_player, u_donor, u_receiver
+        rows, donor, receiver, chains = self._plan
+        self._moves = _pick_transfer(
+            self._support,
+            rows[step],
+            donor[step],
+            receiver[step],
+            None if chains is None else chains[step],
         )
         return self._moves
 
@@ -117,39 +137,32 @@ class _CountBuffers:
         """Fold the staged move into the accepted chains; returns their moves."""
         assert self._moves is not None
         accepted = self._moves.accepted(accept)
-        if accepted.p_rows.size:
-            self._p_support.transfer(
-                accepted.p_rows, accepted.p_source, accepted.p_target, accepted.p_slot
-            )
-        if accepted.q_rows.size:
-            self._q_support.transfer(
-                accepted.q_rows, accepted.q_source, accepted.q_target, accepted.q_slot
+        if accepted.rows.size:
+            self._support.transfer(
+                accepted.rows, accepted.source, accepted.target, accepted.slot
             )
         self._moves = None
         return accepted
 
-    def make_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._p_counts.copy(), self._q_counts.copy()
+    def make_snapshot(self) -> np.ndarray:
+        # Shaped (2, B, w) so that an improved chain's two rows are one copy.
+        return self._counts.reshape(2, self._batch_size, -1).copy()
 
-    def update_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray], mask: np.ndarray
-    ) -> None:
-        # Only the improved rows change, so copy just those.
-        rows = np.flatnonzero(mask)
-        snapshot_p, snapshot_q = snapshot
-        snapshot_p[rows] = self._p_counts[rows]
-        snapshot_q[rows] = self._q_counts[rows]
+    def update_snapshot(self, snapshot: np.ndarray, mask: np.ndarray) -> None:
+        # Only the improved chains change, so copy just their rows.
+        chains = np.flatnonzero(mask)
+        snapshot[:, chains] = self._counts.reshape(snapshot.shape)[:, chains]
 
-    def export_snapshot(
-        self, snapshot: Tuple[np.ndarray, np.ndarray]
-    ) -> BatchedStrategyState:
-        snapshot_p, snapshot_q = snapshot
-        return BatchedStrategyState(snapshot_p, snapshot_q, self.num_intervals)
+    def export_snapshot(self, snapshot: np.ndarray) -> BatchedStrategyState:
+        n, m = self._shape
+        return BatchedStrategyState(
+            np.ascontiguousarray(snapshot[0, :, :n]),
+            np.ascontiguousarray(snapshot[1, :, :m]),
+            self.num_intervals,
+        )
 
     def export_states(self) -> BatchedStrategyState:
-        return BatchedStrategyState(
-            self._p_counts.copy(), self._q_counts.copy(), self.num_intervals
-        )
+        return self.export_snapshot(self.make_snapshot())
 
     def current_states(self) -> BatchedStrategyState:
         return self._state_view
@@ -161,13 +174,13 @@ class _CountBuffers:
 class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState]):
     """MAX-QUBO minimisation on the fused kernel by full evaluation.
 
-    The chains' interval counts live in problem-owned ``(B, n)`` /
-    ``(B, m)`` buffers.  Every iteration stages one structured
-    interval-transfer move per chain (:class:`TransferMoveBatch`,
-    sampled from pre-drawn block uniforms), applies it to candidate
-    buffers that equal the counts between iterations, touching only the
-    moved cells, and scores the candidates with
-    ``evaluator.evaluate_batch``: ``O(B·n·m)`` per iteration.
+    The chains' interval counts live in a problem-owned ``(2B, w)``
+    buffer.  Every iteration stages one structured interval-transfer
+    move per chain (:class:`TransferMoveBatch`, sampled from pre-drawn
+    block uniforms), applies it to a candidate buffer that equals the
+    counts between iterations, touching only the moved cells, and scores
+    the candidates with ``evaluator.evaluate_batch``: ``O(B·n·m)`` per
+    iteration.
 
     This is the path for any evaluator: the hardware evaluator, whose
     objective is a physical two-phase read, custom evaluators, and
@@ -219,57 +232,38 @@ class FusedTwoPhaseProblem(_CountBuffers, FusedBatchProblem[BatchedStrategyState
                     f"initial_states have {shape[0]}x{shape[1]} actions, "
                     f"the game {n}x{m}"
                 )
-        self._set_counts(
-            np.array(initial_states.p_counts, dtype=int),
-            np.array(initial_states.q_counts, dtype=int),
-        )
-        self._cand_p = self._p_counts.copy()
-        self._cand_q = self._q_counts.copy()
-        self._cand_view = BatchedStrategyState(
-            self._cand_p, self._cand_q, self.num_intervals
-        )
-        # Per player: flat candidate and count views, and each chain's
-        # offset into them, for moving single cells.
-        batch_size = self._p_counts.shape[0]
-        self._flat_buffers = [
-            (cand.reshape(-1), counts.reshape(-1), np.arange(batch_size) * width)
-            for cand, counts, width in (
-                (self._cand_p, self._p_counts, n),
-                (self._cand_q, self._q_counts, m),
-            )
-        ]
-        self._moved_cells: List[np.ndarray] = []
+        self._set_counts(initial_states.p_counts, initial_states.q_counts)
+        # Between iterations the candidate buffer equals the counts; the
+        # evaluator reads it through per-player views built once.
+        self._cand = self._counts.copy()
+        self._cand_view = self._player_views(self._cand)
+        self._flat_cand = self._cand.reshape(-1)
+        self._flat_counts = self._counts.reshape(-1)
+        self._moved_cells = np.empty(0, dtype=np.int64)
         return np.array(self.evaluator.evaluate_batch(self._state_view), dtype=float)
 
     def draw_block(self, num_steps: int, rng: np.random.Generator) -> None:
         # One generator call per block: player choice, donor pick and
         # receiver pick for every chain and step.
-        self._uniforms = rng.random((3, num_steps, self._p_counts.shape[0]))
+        self._plan_block(rng.random((3, num_steps, self._batch_size)))
 
     def propose(self, step: int) -> np.ndarray:
         moves = self._stage_moves(step)
-        # Between iterations the candidate buffers equal the counts, so
-        # applying the staged move to them makes them the candidates;
-        # commit restores the cells it moved.
-        self._moved_cells = []
-        for (cand, _, offsets), rows, source, target in zip(
-            self._flat_buffers,
-            (moves.p_rows, moves.q_rows),
-            (moves.p_source, moves.q_source),
-            (moves.p_target, moves.q_target),
-        ):
-            at_source = offsets[rows]
-            at_target = at_source + target
-            at_source += source
-            cand[at_source] -= 1
-            cand[at_target] += 1
-            self._moved_cells.append(np.concatenate((at_source, at_target)))
+        # Applying the staged move to the candidate buffer makes it the
+        # candidates; commit restores the cells it moved.
+        at_source = moves.rows * self._counts.shape[1]
+        at_target = at_source + moves.target
+        at_source += moves.source
+        cand = self._flat_cand
+        cand[at_source] -= 1
+        cand[at_target] += 1
+        self._moved_cells = np.concatenate((at_source, at_target))
         return np.asarray(self.evaluator.evaluate_batch(self._cand_view), dtype=float)
 
     def commit(self, accept: np.ndarray) -> None:
         self._apply_moves(accept)
-        for (cand, counts, _), cells in zip(self._flat_buffers, self._moved_cells):
-            cand[cells] = counts[cells]
+        cells = self._moved_cells
+        self._flat_cand[cells] = self._flat_counts[cells]
 
 
 class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrategyState]):
@@ -337,8 +331,8 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
             states = BatchedStrategyState.random(
                 size, n, m, self.num_intervals, rng, pure_bias=self.pure_start_bias
             )
-            p_parts.append(np.array(states.p_counts, dtype=int))
-            q_parts.append(np.array(states.q_counts, dtype=int))
+            p_parts.append(states.p_counts)
+            q_parts.append(states.q_counts)
             sizes.append(size)
         self._set_counts(np.concatenate(p_parts, axis=0), np.concatenate(q_parts, axis=0))
         offsets = np.cumsum([0] + sizes)
@@ -362,7 +356,7 @@ class MultiGameFusedProblem(_CountBuffers, MultiFusedBatchProblem[BatchedStrateg
             # acceptance uniforms second.
             blocks.append(rng.random((3, num_steps, size)))
             accepts.append(rng.random((num_steps, size)))
-        self._uniforms = np.concatenate(blocks, axis=2)
+        self._plan_block(np.concatenate(blocks, axis=2))
         return np.concatenate(accepts, axis=1)
 
     # ------------------------------------------------------------------

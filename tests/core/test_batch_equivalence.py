@@ -56,9 +56,10 @@ class TestBatchedStrategyState:
         states = random_batch(bos, 8, 100, seed=3)
         moved = BatchedStrategyState(states.p_counts.copy(), states.q_counts.copy(), 8)
         uniforms = np.random.default_rng(4).random((3, 100))
-        sample_transfer_moves(moved.p_counts, moved.q_counts, *uniforms).apply(
-            moved.p_counts, moved.q_counts
-        )
+        moves = sample_transfer_moves(moved.p_counts, moved.q_counts, *uniforms)
+        # One entry per chain, at row player·B + chain of the stacked counts.
+        np.testing.assert_array_equal(moves.rows, np.arange(100) + 100 * (uniforms[0] >= 0.5))
+        moves.apply(moved.p_counts, moved.q_counts)
         p_change = np.abs(moved.p_counts - states.p_counts).sum(axis=1)
         q_change = np.abs(moved.q_counts - states.q_counts).sum(axis=1)
         assert np.all((p_change == 0) ^ (q_change == 0))

@@ -117,7 +117,8 @@ def test_fused_candidates_track_a_copy_and_apply_replay(
     problem = FusedTwoPhaseProblem(evaluator, num_intervals)
     problem.begin(num_chains, rng)
     problem.draw_block(num_steps, rng)
-    p_counts, q_counts = problem.make_snapshot()
+    states = problem.export_states()
+    p_counts, q_counts = states.p_counts, states.q_counts
     for step in range(num_steps):
         energies = problem.propose(step)
         moves = problem._moves

@@ -58,7 +58,14 @@ def assert_same_chains(a, b):
 class TestDeltaFullBitIdentity:
     @pytest.mark.parametrize(
         "n,m,num_intervals,batch_size",
-        [(2, 2, 4, 16), (3, 5, 8, 32), (8, 8, 16, 24), (16, 12, 32, 8)],
+        [
+            (2, 2, 4, 16),
+            (3, 5, 8, 32),
+            (8, 8, 16, 24),
+            (16, 12, 32, 8),
+            (40, 3, 8, 16),  # rectangular: per-player gather passes
+            (1, 7, 4, 16),  # the row player has a single action
+        ],
     )
     def test_identical_accept_reject_and_energies(self, n, m, num_intervals, batch_size):
         """Identical runs at several (n, m, I, B) shapes, incremental forced."""
@@ -105,27 +112,40 @@ class TestDriftGuard:
         np.testing.assert_allclose(result.final_energies, recomputed, atol=1e-9)
 
     def test_incremental_cache_resync_restores_exact_energies(self):
-        """After arbitrary committed moves, resync equals full evaluation."""
-        game = random_game(5, 4, seed=7)
-        evaluator = IdealEvaluator(game)
-        rng = np.random.default_rng(0)
-        states = BatchedStrategyState.random(16, 5, 4, 6, rng)
-        incremental = StackedIncrementalState.from_evaluators(
-            [evaluator], np.zeros(16, dtype=np.int64), states
-        )
-        for _ in range(300):
-            uniforms = rng.random((3, 16))
-            moves = sample_transfer_moves(
-                states.p_counts, states.q_counts, uniforms[0], uniforms[1], uniforms[2]
+        """After arbitrary committed moves, resync equals full evaluation.
+
+        Runs a square game (one stacked gather pass for both players), a
+        rectangular one (a pass per player) and a 1×n game (no row-player
+        moves), and checks every committed cache against a fresh build.
+        """
+        for n, m in ((5, 4), (5, 5), (1, 5)):
+            game = random_game(n, m, seed=7)
+            evaluator = IdealEvaluator(game)
+            rng = np.random.default_rng(0)
+            states = BatchedStrategyState.random(16, n, m, 6, rng)
+            incremental = StackedIncrementalState.from_evaluators(
+                [evaluator], np.zeros(16, dtype=np.int64), states
             )
-            incremental.candidate_energies(moves)
-            accept = rng.random(16) < 0.5
-            kept = moves.accepted(accept)
-            kept.apply(states.p_counts, states.q_counts)
-            incremental.commit(accept, kept)
-        full = evaluator.evaluate_batch(states)
-        np.testing.assert_allclose(incremental.energies(), full, atol=1e-9)
-        np.testing.assert_array_equal(incremental.resync(states), full)
+            for _ in range(300):
+                uniforms = rng.random((3, 16))
+                moves = sample_transfer_moves(
+                    states.p_counts, states.q_counts, uniforms[0], uniforms[1], uniforms[2]
+                )
+                incremental.candidate_energies(moves)
+                accept = rng.random(16) < 0.5
+                kept = moves.accepted(accept)
+                kept.apply(states.p_counts, states.q_counts)
+                incremental.commit(accept, kept)
+            fresh = StackedIncrementalState.from_evaluators(
+                [evaluator], np.zeros(16, dtype=np.int64), states
+            )
+            for name in ("row_values", "col_values", "u", "w", "maxima", "bilinear"):
+                np.testing.assert_allclose(
+                    getattr(incremental, name), getattr(fresh, name), atol=1e-9
+                )
+            full = evaluator.evaluate_batch(states)
+            np.testing.assert_allclose(incremental.energies(), full, atol=1e-9)
+            np.testing.assert_array_equal(incremental.resync(states), full)
 
 
 def reference_fused_run(
@@ -198,6 +218,11 @@ class TestBlockRngDeterminism:
             (40, 3, 4),  # I < n: sparse row support
             (64, 3, 4),  # I far below n: a 5-slot support list over 64 actions
             (2, 3, 16),  # I far above both action counts
+            (300, 2, 4),  # a wide row player against a two-action one
+            (300, 2, 8),
+            (2, 300, 4),  # the transpose: the column player is the wide one
+            (2, 300, 8),
+            (7, 9, 16),  # rectangular with I above both action counts
         ],
     )
     def test_fused_kernel_matches_scalar_reference(self, n, m, num_intervals, route):
@@ -241,14 +266,24 @@ class TestBlockRngDeterminism:
         np.testing.assert_array_equal(result.final_states.q_counts, q_counts)
 
     @pytest.mark.parametrize(
-        "num_actions,num_intervals", [(2, 3), (9, 4), (40, 4), (6, 30), (300, 4)]
+        "n,m,num_intervals",
+        [
+            (2, 2, 3),
+            (9, 9, 4),
+            (40, 40, 4),
+            (6, 6, 30),
+            (300, 300, 4),
+            (300, 2, 4),  # rectangular: each player's own action count
+            (2, 9, 5),
+            (1, 6, 3),  # one-action players keep the identity move
+            (7, 1, 8),
+        ],
     )
-    def test_batched_transfer_moves_the_pick_th_positive_action(self, num_actions, num_intervals):
+    def test_batched_transfer_moves_the_pick_th_positive_action(self, n, m, num_intervals):
         """The sampler's donor is the ``pick``-th action holding an interval."""
-        rng = np.random.default_rng(num_actions)
-        uniform = np.full(num_actions, 1.0 / num_actions)
-        p_counts = rng.multinomial(num_intervals, uniform, size=64)
-        q_counts = rng.multinomial(num_intervals, uniform, size=64)
+        rng = np.random.default_rng(n if n == m else (n, m))
+        p_counts = rng.multinomial(num_intervals, np.full(n, 1.0 / n), size=64)
+        q_counts = rng.multinomial(num_intervals, np.full(m, 1.0 / m), size=64)
         u_player, u_donor, u_receiver = rng.random((3, 64))
         moved_p, moved_q = p_counts.copy(), q_counts.copy()
         sample_transfer_moves(p_counts, q_counts, u_player, u_donor, u_receiver).apply(
@@ -258,10 +293,13 @@ class TestBlockRngDeterminism:
         expected_p, expected_q = p_counts.copy(), q_counts.copy()
         for chain in range(64):
             counts = expected_p[chain] if u_player[chain] < 0.5 else expected_q[chain]
+            k = counts.size
+            if k < 2:
+                continue
             positive = np.flatnonzero(counts > 0)
             pick = min(int(u_donor[chain] * positive.size), positive.size - 1)
             donor = positive[pick]
-            receiver = min(int(u_receiver[chain] * (num_actions - 1)), num_actions - 2)
+            receiver = min(int(u_receiver[chain] * (k - 1)), k - 2)
             receiver += receiver >= donor
             counts[donor] -= 1
             counts[receiver] += 1

@@ -11,6 +11,7 @@ incremental-cache resyncs.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +124,28 @@ def test_solve_shards_fused_equals_solver_batches(case, num_iterations):
     for batch, game, (size, seed) in zip(fused, games, launches):
         solo = CNashSolver(game, config).solve_batch(num_runs=size, seed=seed)
         assert without_wall_clock(batch.to_dict()) == without_wall_clock(solo.to_dict())
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (3, 40), (1, 40), (40, 1), (300, 2)])
+def test_rectangular_multi_launch_equals_solo_launches(shape):
+    """Rectangular games keep a gather pass per player; slices still equal solo runs.
+
+    The resync interval falls inside the run, so the per-player caches are
+    rebuilt per game block as well.
+    """
+    games = [random_game(*shape, seed=seed) for seed in range(3)]
+    launches = [(5, 11), (1, 12), (7, 13)]
+    annealing = AnnealingConfig(num_iterations=300)
+    multi = FusedAnnealer(
+        MultiGameFusedProblem([IdealEvaluator(game) for game in games], 6),
+        annealing,
+        resync_interval=100,
+    ).run_multi(launches)
+    start = 0
+    for game, launch in zip(games, launches):
+        solo = FusedAnnealer(
+            MultiGameFusedProblem([IdealEvaluator(game)], 6), annealing, resync_interval=100
+        ).run_multi([launch])
+        assert_launch_slice_equal(multi, solo, start)
+        start += launch[0]
+    assert multi.num_resyncs == 2

@@ -103,8 +103,8 @@ class TestStrategyMoveGenerator:
         q_counts = np.tile([2, 2], (32, 1))
         u_player = np.linspace(0.0, 0.99, 32)
         moves = sample_transfer_moves(p_counts, q_counts, u_player, rng.random(32), rng.random(32))
-        assert moves.p_rows.size == 0
-        np.testing.assert_array_equal(moves.q_rows, np.flatnonzero(u_player >= 0.5))
+        # Only column-player rows (32 + chain) move; no row-player row does.
+        np.testing.assert_array_equal(moves.rows, 32 + np.flatnonzero(u_player >= 0.5))
         moves.apply(p_counts, q_counts)
         np.testing.assert_array_equal(p_counts, 4)
 
@@ -151,23 +151,27 @@ class TestActionSupport:
     def test_support_lists_match_a_scan_after_every_commit(
         self, num_rows, num_cols, num_intervals, batch_size, seed
     ):
-        """The fused problems' support lists track their counts through random commits.
+        """The fused problems' support list tracks their counts through random commits.
 
-        Covers ``I`` below and above ``n``, one-action players and, through
-        the pure starts and ``I = 1``, all intervals on one action.
+        One list covers both players' ``2B`` rows of the stacked
+        ``(2B, max(n, m))`` counts.  Covers ``I`` below and above ``n``,
+        one-action players, rectangular games whose narrower player is
+        padded and, through the pure starts and ``I = 1``, all intervals
+        on one action.
         """
         game = random_game(num_rows, num_cols, seed=0)
         problem = FusedTwoPhaseProblem(IdealEvaluator(game), num_intervals)
         rng = np.random.default_rng(seed)
         problem.begin(batch_size, rng)
         problem.draw_block(30, rng)
+        support, counts = problem._support, problem._counts
+        assert support.counts is counts
+        assert counts.shape == (2 * batch_size, max(num_rows, num_cols))
         for step in range(30):
             problem._stage_moves(step)
             problem._apply_moves(rng.random(batch_size) < rng.random())
-            for support, counts in (
-                (problem._p_support, problem._p_counts),
-                (problem._q_support, problem._q_counts),
-            ):
-                assert support.counts is counts
-                np.testing.assert_array_equal(counts.sum(axis=1), num_intervals)
-                assert_support_matches_scan(support, counts, num_intervals)
+            np.testing.assert_array_equal(counts.sum(axis=1), num_intervals)
+            # The narrower player's extra columns never receive an interval.
+            np.testing.assert_array_equal(counts[:batch_size, num_rows:], 0)
+            np.testing.assert_array_equal(counts[batch_size:, num_cols:], 0)
+            assert_support_matches_scan(support, counts, num_intervals)
