@@ -10,18 +10,23 @@ launch whose per-iteration Python overhead dwarfs the arithmetic at
 * :func:`compute_batch_key` decides which queued jobs may share one
   dispatch (same backend policy; for built-in C-Nash additionally the
   same solver config + epsilon, so fused groups are config-uniform);
-* :func:`execute_job_batch_payload` is the worker-pool entry point for a
-  drained :class:`JobBatch`: it materialises each job's game (through
-  the process-wide :mod:`repro.games.matcache` LRU for specs), groups
+* :func:`execute_job_batch_payload` is the worker-pool entry point for
+  every batch of single-shard and generic jobs, a lone job being a
+  batch of one: it materialises each job's game (through the
+  process-wide :mod:`repro.games.matcache` LRU for specs), groups
   same-shape eligible C-Nash shards into **one** multi-game fused
   kernel launch (:func:`repro.core.solver.solve_shards_fused`), runs
-  the rest solo, and returns per-job results with per-job error
+  the rest one by one, and returns per-job results with per-job error
   isolation — one failing job marks only itself failed.
 
-Bit-identity contract: a job's result is byte-identical to what the
-per-job dispatch path would have produced.  C-Nash jobs enter a batch
-only when they fit a single shard (``num_runs <= shard_size``), keep
-their exact shard seed (derived by :func:`~repro.service.portfolio.shard_payloads`
+The scheduler dispatches every job through this path except a built-in
+C-Nash job of more than ``shard_size`` runs, which fans out one
+:func:`~repro.service.portfolio.solve_shard_payload` call per shard.
+
+Bit-identity contract: a job's result is byte-identical whether it rides
+a coalesced batch or a batch of one.  C-Nash jobs enter a batch only
+when they fit a single shard (``num_runs <= shard_size``), keep their
+exact shard seed (derived by :func:`~repro.service.portfolio.shard_payloads`
 as always), and the fused multi-launch replays each shard's solo RNG
 stream (see :class:`repro.annealing.vectorized.MultiFusedBatchProblem`).
 Batching is therefore purely a throughput knob.
@@ -70,14 +75,15 @@ DEFAULT_MAX_BATCH_LINGER_MS = 0.0
 def compute_batch_key(request: SolveRequest, shard_size: int) -> Optional[str]:
     """The coalescing key of a request, or ``None`` when never batched.
 
-    Jobs sharing a key may ride one worker dispatch:
+    Jobs sharing a key may ride one worker dispatch; a job without one
+    dispatches as a batch of one:
 
     * built-in ``"cnash"`` requests that fit a single shard share a key
       per (config, epsilon) — the uniformity the worker's fused
-      multi-game launch requires.  Multi-shard jobs keep the per-shard
-      gather path (their shards already fan out across the pool), and a
-      *substituted* ``"cnash"`` backend keeps solo dispatch (the
-      scheduler's executor-kind guards must see it individually);
+      multi-game launch requires.  A multi-shard job fans out one call
+      per shard across the pool instead, and a *substituted*
+      ``"cnash"`` backend stays alone (the scheduler's executor-kind
+      guard must see it individually);
     * ``"portfolio"`` never batches — the scheduler routes its members
       itself with early-exit semantics;
     * every other policy batches per policy name, which amortises the
@@ -113,7 +119,7 @@ def _job_request(job: Dict[str, Any]) -> SolveRequest:
 
 
 def _error_entry(exc: BaseException) -> Dict[str, Any]:
-    """Per-job failure entry, formatted exactly like the solo dispatch path."""
+    """Per-job failure entry, formatted like a transport-level failure."""
     entry: Dict[str, Any] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
     if isinstance(exc, InjectedFault):
         # A live class hint survives the wire; the parent's marker-based
@@ -135,10 +141,10 @@ def _maybe_corrupt(result: Dict[str, Any], request: SolveRequest,
 def _shard_outcome(request: SolveRequest, batch: SolverBatchResult) -> Dict[str, Any]:
     """The finished outcome of a single-shard C-Nash job, worker-side.
 
-    Exactly the parent's solo settle — ``merge([shard])`` then
-    :func:`outcome_from_batch` — run where the materialised game already
-    lives, so the parent never rebuilds spec games or re-validates run
-    profiles just to deduplicate equilibria.
+    Exactly the parent's settle of a multi-shard job — ``merge`` then
+    :func:`outcome_from_batch` — for one shard, run where the
+    materialised game already lives, so the parent never rebuilds spec
+    games or re-validates run profiles just to deduplicate equilibria.
     """
     merged = SolverBatchResult.merge([batch])
     return outcome_from_batch(request, merged, backend="cnash", shards=1).to_dict()
@@ -281,8 +287,7 @@ def _execute_job_batch(payload: Dict[str, Any]) -> Dict[str, Any]:
             except Exception as exc:  # noqa: BLE001 - per-job isolation boundary
                 _fail(index, exc, request, "settle")
 
-    # Shards that cannot fuse and generic jobs run exactly the per-job
-    # worker code.
+    # Shards that cannot fuse and generic jobs run one by one.
     for index, kind, request, runs, seed, _ in solo:
         try:
             fault_point("kernel", key=request.fingerprint(),

@@ -424,8 +424,8 @@ class JobRecord:
     attempts: int = 1
     #: Worker deaths attributed to this job (poison-pill accounting).
     worker_deaths: int = 0
-    #: Set when a retry must dispatch solo (never coalesced), so a
-    #: poison pill cannot drag innocent batch companions down with it.
+    #: Set when a retry must dispatch as a batch of one (never
+    #: coalesced), so a poison pill cannot drag batch companions down.
     no_batch: bool = False
     #: Solver-miss escalation rung: 0 = original policy and seed,
     #: 1 = fresh seed, >= 2 = walk the registry portfolio order.

@@ -9,8 +9,9 @@ registered backend name, so a backend registered in one line becomes
 servable over the scheduler and the TCP transport with no changes here.
 
 Everything in this module is synchronous and picklable-by-payload: the
-scheduler ships request dicts into worker processes and gets outcome
-dicts back (see :func:`execute_request_payload`).
+scheduler ships request dicts into worker processes and gets outcome or
+batch dicts back (see :func:`solve_shard_payload` and
+:func:`repro.service.batching.execute_job_batch_payload`).
 """
 
 from __future__ import annotations
@@ -242,15 +243,16 @@ def ship_worker_telemetry(payload: Dict[str, Any], result: Dict[str, Any]) -> Di
 
 
 def execute_request_payload(payload: dict) -> dict:
-    """Worker-pool entry point: request dict in, outcome dict out.
+    """One whole request on the calling process: request dict in, outcome dict out.
 
-    Dicts (not rich objects) cross the process boundary so the pool only
-    ever pickles plain JSON-compatible data, and the same payloads are
-    reusable verbatim over the TCP transport.  Note that whether worker
-    *processes* see custom backends depends on the multiprocessing start
-    method (``fork`` inherits the parent registry, ``spawn`` re-imports
-    and sees only built-ins) — serve custom backends with the
-    thread/inline executors for portable behaviour.
+    The scheduler runs generic jobs through
+    :func:`repro.service.batching.execute_job_batch_payload` instead;
+    this entry point serves direct callers.  Dicts (not rich objects)
+    keep the payload plain JSON-compatible data.  Note that whether
+    worker *processes* see custom backends depends on the
+    multiprocessing start method (``fork`` inherits the parent registry,
+    ``spawn`` re-imports and sees only built-ins) — serve custom
+    backends with the thread/inline executors for portable behaviour.
     """
     with installed_fault_plan(payload.get("fault_plan")):
         request = SolveRequest.from_dict(payload)
@@ -258,8 +260,7 @@ def execute_request_payload(payload: dict) -> dict:
         fault_point("worker_entry", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
         # Same injection point as the batched path: the kernel launch
-        # happens here too, so a fault matched to one job's fingerprint
-        # follows it onto solo (no-batch) retries.
+        # happens here too.
         fault_point("kernel", key=request.fingerprint(),
                     in_subprocess=in_subprocess)
         return ship_worker_telemetry(payload, execute_request(request).to_dict())
@@ -308,18 +309,3 @@ def shard_payloads(request: SolveRequest, shard_size: int) -> List[dict]:
         for size, seed in zip(sizes, seeds)
     ]
 
-
-def single_shard_payload(request: SolveRequest) -> dict:
-    """The one-shard worker payload of a batch-eligible C-Nash request.
-
-    Batch coalescing only admits C-Nash jobs whose whole run budget fits
-    a single shard (:func:`repro.service.batching.compute_batch_key`),
-    so the coalesced dispatch ships shard 0 of the standard plan — same
-    ``shard_seeds``-derived seed, hence bit-identical results to the
-    per-job path.
-    """
-    return {
-        "request": request.to_dict(),
-        "shard_runs": request.num_runs,
-        "shard_seed": shard_seeds(request.seed, 1)[0],
-    }

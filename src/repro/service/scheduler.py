@@ -5,11 +5,16 @@
 * an :class:`asyncio.PriorityQueue` orders submitted jobs by (priority,
   arrival); cancellation and relative deadlines are honoured both while
   queued and (for deadlines) while running;
+* every dispatch is a batch, run and settled by one path: a lone job is
+  a batch of one, compatible queued jobs coalesce into larger ones (see
+  :mod:`repro.service.batching`), and crash retries and escalated
+  attempts dispatch as batches of one;
 * a ``concurrent.futures`` worker pool executes the actual solves.  A
-  ``"cnash"`` request with ``num_runs=N`` is *sharded*: the run budget
-  is split into fixed-size sub-batches whose seeds derive from the
-  request seed and the shard index alone (:func:`repro.utils.rng.shard_seeds`),
-  the shards run concurrently across the pool, and the per-shard
+  batch of single-shard jobs is one worker call.  A ``"cnash"`` request
+  of more than ``shard_size`` runs is *sharded*: the run budget is split
+  into fixed-size sub-batches whose seeds derive from the request seed
+  and the shard index alone (:func:`repro.utils.rng.shard_seeds`), one
+  call per shard runs concurrently across the pool, and the per-shard
   batches are merged back into one :class:`SolverBatchResult` in shard
   order — so the merged result is bit-identical for any worker count;
 * a content-addressed :class:`~repro.service.cache.ResultCache` serves
@@ -31,8 +36,8 @@ import os
 import time
 import uuid
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.result import SolverBatchResult
 from repro.games.bimatrix import BimatrixGame
@@ -47,13 +52,11 @@ from repro.service.jobs import JobRecord, JobStatus, SolveOutcome, SolveRequest
 from repro.service.portfolio import (
     adopt_portfolio_attempt,
     cnash_is_builtin,
-    execute_request_payload,
     has_verified_equilibrium,
     member_request,
     outcome_from_batch,
     portfolio_order,
     shard_payloads,
-    single_shard_payload,
     solve_shard_payload,
 )
 from repro.service.resilience import (
@@ -72,7 +75,7 @@ from repro.service.resilience import (
     install_fault_plan,
     retry_seed,
 )
-from repro.telemetry import get_logger
+from repro.telemetry import Timeline, get_logger
 from repro.telemetry import registry as telemetry_registry
 from repro.utils.blas import set_blas_threads
 
@@ -119,7 +122,7 @@ def _scheduler_metrics() -> Dict[str, Any]:
         "coalesced": counter("repro_scheduler_jobs_coalesced_total",
                              "Duplicate jobs that adopted an in-flight leader"),
         "shards_executed": counter("repro_scheduler_shards_executed_total",
-                                   "Worker shard executions dispatched"),
+                                   "Jobs and shards run by workers"),
         "batches_dispatched": counter("repro_scheduler_batches_dispatched_total",
                                       "Coalesced batches shipped to workers"),
         "batched_jobs": counter("repro_scheduler_batched_jobs_total",
@@ -151,22 +154,24 @@ def _scheduler_metrics() -> Dict[str, Any]:
     }
 
 
-class _InlineExecutor(Executor):
-    """Runs submissions synchronously on the caller (tests / debugging)."""
+#: The process executor's refusals of a replaced built-in backend.
+_PROCESS_REFUSALS = {
+    "cnash": (
+        "a replaced 'cnash' backend cannot be served by the process "
+        "executor: worker processes may resolve the name to the "
+        "built-in solver instead; use executor='thread' or 'inline'"
+    ),
+    "portfolio": (
+        "a custom (non-chain) 'portfolio' backend cannot be served "
+        "by the process executor: worker processes may resolve the "
+        "name to the built-in portfolio chain instead; use "
+        "executor='thread' or 'inline'"
+    ),
+}
 
-    def submit(self, fn: Callable, /, *args, **kwargs):  # type: ignore[override]
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - mirror Executor semantics
-            future.set_exception(exc)
-        return future
 
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        return None
-
-
-def _make_executor(kind: str, max_workers: Optional[int]) -> Executor:
+def _make_executor(kind: str, max_workers: Optional[int]) -> Optional[Executor]:
+    """The worker pool for ``kind``; ``None`` runs each call inline."""
     if kind == "process":
         # The pool spreads jobs over the cores, so each worker runs its
         # matrix products on one BLAS thread instead of one per CPU.
@@ -177,9 +182,22 @@ def _make_executor(kind: str, max_workers: Optional[int]) -> Executor:
         )
     if kind == "thread":
         return ThreadPoolExecutor(max_workers=max_workers)
-    if kind == "inline":
-        return _InlineExecutor()
-    raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}")
+    return None  # "inline" (SolveScheduler validated the kind)
+
+
+def _checked_outcome(result: Dict[str, Any], request: SolveRequest) -> SolveOutcome:
+    """Decode a worker-built outcome, which must answer ``request``.
+
+    Integrity gate: a mismatched fingerprint means the payload was
+    corrupted in flight, an infrastructure fault.
+    """
+    outcome = SolveOutcome.from_dict(result)
+    if outcome.fingerprint != request.fingerprint():
+        raise RuntimeError(
+            "corrupt result payload: worker outcome fingerprint "
+            f"{outcome.fingerprint[:12]}... does not match the request"
+        )
+    return outcome
 
 
 class SolveScheduler:
@@ -189,7 +207,8 @@ class SolveScheduler:
     ----------
     max_workers:
         Worker-pool size (``None`` = the executor's default).  Also the
-        number of shards allowed in flight at once.
+        number of batches in flight at once (4 when ``None``); the
+        shards of one C-Nash job already fan out across the pool.
     shard_size:
         Runs per shard for ``"cnash"`` batches.  Part of the *result
         contract*: the shard plan (and therefore every derived shard
@@ -202,10 +221,6 @@ class SolveScheduler:
         ``"process"`` (default — true parallelism across cores),
         ``"thread"`` (cheap startup; fine for small jobs and tests) or
         ``"inline"`` (synchronous, single-threaded debugging).
-    dispatch_concurrency:
-        How many jobs may be in the execution stage simultaneously.
-        Shards of one job already fan out across the pool, so the
-        default matches the worker count.
     finished_job_limit:
         How many terminal job records to keep for ``status`` lookups.
         Oldest finished records (and their events) are evicted beyond
@@ -214,10 +229,10 @@ class SolveScheduler:
         regardless.
     max_batch_jobs:
         Ceiling on compatible queued jobs coalesced into one worker
-        dispatch (see :mod:`repro.service.batching`).  ``1`` disables
-        batching entirely.  Batched results are bit-identical to
-        per-job dispatch — same shard seeds, same cache keys — so this
-        is purely a throughput knob.
+        dispatch (see :mod:`repro.service.batching`).  ``1`` dispatches
+        every job as a batch of one.  Coalesced results are
+        bit-identical to batches of one — same shard seeds, same cache
+        keys — so this is purely a throughput knob.
     max_batch_linger_ms:
         How long (milliseconds) a dispatcher holding a batchable job
         may wait for more compatible arrivals before dispatching a
@@ -263,7 +278,6 @@ class SolveScheduler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         cache: Optional[ResultCache] = None,
         executor: str = "process",
-        dispatch_concurrency: Optional[int] = None,
         finished_job_limit: int = DEFAULT_FINISHED_JOB_LIMIT,
         max_batch_jobs: int = DEFAULT_MAX_BATCH_JOBS,
         max_batch_linger_ms: float = DEFAULT_MAX_BATCH_LINGER_MS,
@@ -320,10 +334,6 @@ class SolveScheduler:
         self._dispatchers: List[asyncio.Task] = []
         self._started = False
         self._closed = False
-        concurrency = dispatch_concurrency
-        if concurrency is None:
-            concurrency = max_workers if max_workers is not None else 4
-        self._dispatch_concurrency = max(1, concurrency)
         self._registry = telemetry_registry()
         self._metrics = _scheduler_metrics()
         # (policy, status) -> latency histogram child, so the per-job
@@ -334,11 +344,6 @@ class SolveScheduler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def _executor(self) -> Optional[Executor]:
-        """The live worker pool (owned by the supervisor across rebuilds)."""
-        return None if self._supervisor is None else self._supervisor.executor
-
     async def start(self) -> "SolveScheduler":
         """Create the worker pool and the dispatch tasks."""
         if self._started:
@@ -353,7 +358,7 @@ class SolveScheduler:
         self._queue = asyncio.PriorityQueue()
         self._dispatchers = [
             asyncio.get_running_loop().create_task(self._dispatch_loop())
-            for _ in range(self._dispatch_concurrency)
+            for _ in range(self.max_workers or 4)
         ]
         # Live-state gauges are computed at scrape time; with several
         # schedulers on one registry the most recently started wins.
@@ -387,7 +392,6 @@ class SolveScheduler:
         # evict old records from the job table as it marks these.)
         for record in list(self._jobs.values()):
             if not record.done:
-                self._count("cancelled")
                 self._finish(record, JobStatus.CANCELLED, error="scheduler closed")
 
     async def __aenter__(self) -> "SolveScheduler":
@@ -465,7 +469,6 @@ class SolveScheduler:
         try:
             self._breakers.admit(record.request.policy)
         except CircuitOpen as exc:
-            self._count("failed")
             self._finish(record, JobStatus.FAILED, error=str(exc))
             raise
 
@@ -494,7 +497,6 @@ class SolveScheduler:
                     await asyncio.wait_for(leader_event.wait(), remaining)
             except asyncio.TimeoutError:
                 if not record.done:
-                    self._count("expired")
                     self._finish(
                         record, JobStatus.EXPIRED, error="deadline expired while coalesced"
                     )
@@ -563,7 +565,6 @@ class SolveScheduler:
         record = self.job(job_id)
         if record.status != JobStatus.PENDING:
             return False
-        self._count("cancelled")
         self._finish(record, JobStatus.CANCELLED, error="cancelled by client")
         return True
 
@@ -581,87 +582,44 @@ class SolveScheduler:
         """
         return self._registry.snapshot()
 
-    def _merge_worker_telemetry(self, result: Dict[str, Any]) -> Dict[str, Any]:
-        """Fold a worker process's metrics delta into the registry, then strip it.
-
-        See :func:`~repro.service.portfolio.ship_worker_telemetry`: only
-        results from separate worker processes carry a delta.
-        """
-        delta = result.pop("telemetry", None)
-        if delta:
-            self._registry.merge(delta)
-        return result
-
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch: every job runs in a batch, settled in one place
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
-            _, _, job_id = await self._queue.get()
-            record = self._jobs.get(job_id)
-            if record is None or record.done:
-                # Cancelled while queued (and possibly already evicted
-                # from the bounded job table) — nothing to run.
+            record = self._take(await self._queue.get())
+            if record is None:
                 continue
             record.timeline.cut("queue")
-            remaining = record.deadline_remaining()
-            if remaining is not None and remaining <= 0:
-                self._count("expired")
-                self._finish(record, JobStatus.EXPIRED, error="deadline expired in queue")
-                continue
+            batch = [record]
             if self.max_batch_jobs > 1 and self._batch_key_for(record) is not None:
                 batch = await self._drain_batch(record)
-                if len(batch) > 1:
-                    await self._execute_batch(batch)
-                    continue
-                if not batch:
-                    continue  # the leader was cancelled while lingering
-                record = batch[0]
-                # A batch of one takes the solo path below unchanged
-                # (including the per-job deadline wait_for semantics).
-                remaining = record.deadline_remaining()
-            record.status = JobStatus.RUNNING
-            record.started_at = time.time()
-            self._running_jobs += 1
-            try:
-                execute = self._execute(self._effective_request(record))
-                if remaining is None:
-                    outcome = await execute
-                else:
-                    outcome = await asyncio.wait_for(execute, remaining)
-            except asyncio.TimeoutError:
-                self._count("expired")
-                self._finish(record, JobStatus.EXPIRED, error="deadline expired while running")
-                continue
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                if self._handle_execution_failure(record, exc, stage="solo dispatch"):
-                    continue
-                self._count("failed")
-                self._log_job_failure(record, exc, stage="solo dispatch")
-                self._finish(record, JobStatus.FAILED, error=f"{type(exc).__name__}: {exc}")
-                continue
-            self._relabel_outcome(record, outcome)
-            record.timeline.cut("run", policy=record.request.policy)
-            if self._maybe_escalate_solver_miss(record, outcome):
-                continue
-            self._breakers.on_success(record.request.policy)
-            record.outcome = outcome
-            if record.request.cacheable:
-                await self._cache_put(self._cache_key(record.request), outcome.to_dict())
-            self._count("completed")
-            self._finish(record, JobStatus.DONE)
+            if batch:  # empty when the leader was cancelled while lingering
+                await self._dispatch(batch)
 
-    # ------------------------------------------------------------------
-    # Batched dispatch
-    # ------------------------------------------------------------------
+    def _take(self, item: tuple) -> Optional[JobRecord]:
+        """The live job behind a popped queue item, or ``None``.
+
+        A job cancelled while queued (and possibly already evicted from
+        the bounded job table) is skipped; one whose deadline passed in
+        the queue is expired here.
+        """
+        record = self._jobs.get(item[2])
+        if record is None or record.done:
+            return None
+        remaining = record.deadline_remaining()
+        if remaining is not None and remaining <= 0:
+            self._finish(record, JobStatus.EXPIRED, error="deadline expired in queue")
+            return None
+        return record
+
     def _batch_key_for(self, record: JobRecord) -> Optional[str]:
         """The record's coalescing key (memoised; ``None`` = never batched)."""
         if record.no_batch:
-            # Worker-death retries and escalated attempts dispatch solo:
-            # a repeat crash must uniquely identify the poison job, and
-            # escalated requests differ from the record's own request.
+            # Worker-death retries and escalated attempts dispatch as
+            # batches of one: a repeat crash must uniquely identify the
+            # poison job, and escalated requests differ from the
+            # record's own request.
             return None
         job_id = record.job_id
         if job_id not in self._batch_keys:
@@ -679,7 +637,7 @@ class SolveScheduler:
         during the linger are held and re-queued when it ends, so the
         linger trades *everyone's* latency for batch fullness; that is
         why it defaults to off.  Cancelled jobs are dropped and expired
-        deadlines are honoured exactly as the solo pop does.
+        deadlines are honoured exactly as the leader's pop does.
         """
         key = self._batch_key_for(leader)
         batch = [leader]
@@ -716,15 +674,9 @@ class SolveScheduler:
         batch: List[JobRecord],
         requeue: List[tuple],
     ) -> None:
-        """Route one popped queue item: join the batch, re-queue, or finish."""
-        _, _, job_id = item
-        record = self._jobs.get(job_id)
-        if record is None or record.done:
-            return  # cancelled while queued — same as the solo pop
-        remaining = record.deadline_remaining()
-        if remaining is not None and remaining <= 0:
-            self._count("expired")
-            self._finish(record, JobStatus.EXPIRED, error="deadline expired in queue")
+        """Route one popped queue item: join the batch, re-queue, or drop."""
+        record = self._take(item)
+        if record is None:
             return
         if self._batch_key_for(record) == key:
             record.timeline.cut("queue")
@@ -732,71 +684,46 @@ class SolveScheduler:
         else:
             requeue.append(item)
 
-    async def _execute_batch(self, batch: List[JobRecord]) -> None:
-        """Ship a coalesced batch to one worker; settle every member.
+    async def _dispatch(self, batch: List[JobRecord]) -> None:
+        """Run one batch on the worker pool and settle every member.
 
-        Failure isolation mirrors the solo path per job: a job that
-        raises in the worker (or whose deadline expired by completion)
-        fails/expires alone, and ``_finish`` releases each job's spec
-        materialisation individually.  A transport-level failure (the
-        worker call itself raises) fails all still-live members — unless
-        the retry policy absorbs it (worker deaths re-enqueue each
-        member solo with bit-identical seeds).
+        The worker calls are awaited until the latest deadline of the
+        members, or without limit if any member has none; by then every
+        member has expired, and cancelling the calls drops those that
+        have not started.  A transport-level failure (a worker call
+        itself raises) is one backend failure that fails every live
+        member, unless the retry policy absorbs it (worker deaths
+        re-enqueue each member alone with bit-identical seeds).
+        Otherwise each member settles alone: deadline, fault class and
+        retry policy, relabel of an escalated attempt, solver-miss
+        escalation, breaker — then one cache write for the batch, and
+        only after it the completions.
         """
-        self._count("batches_dispatched")
-        self._count("batched_jobs", len(batch))
-        self._metrics["batch_jobs"].observe(len(batch))
+        if len(batch) > 1:
+            self._count("batches_dispatched")
+            self._count("batched_jobs", len(batch))
+            self._metrics["batch_jobs"].observe(len(batch))
         batch_id = uuid.uuid4().hex[:12]
-        jobs: List[Dict[str, Any]] = []
-        segments: List[Any] = []
-        share_dense = self.executor_kind == "process"
-        if share_dense:
-            from repro.service.shm import SHM_MIN_CELLS, share_game, shm_available
-
-            share_dense = shm_available()
         for record in batch:
             record.status = JobStatus.RUNNING
             record.started_at = time.time()
             self._running_jobs += 1
             record.timeline.cut("coalesce", batch_jobs=len(batch))
-            request = record.request
-            if request.policy == "cnash":
-                # Single-shard by construction (the batch key refuses
-                # multi-shard jobs): the one payload carries exactly the
-                # shard seed the solo path would derive.
-                job = single_shard_payload(request)
-                job["kind"] = "cnash_shard"
-            else:
-                job = {"kind": "generic", "request": request.to_dict()}
-            if (
-                share_dense
-                and isinstance(request.game, BimatrixGame)
-                and request.game.payoff_row.size >= SHM_MIN_CELLS
-            ):
-                try:
-                    descriptor, segment = share_game(request.game)
-                except OSError:
-                    pass  # fall back to the in-payload dense matrices
-                else:
-                    segments.append(segment)
-                    self._count("shm_games_shared")
-                    job = dict(job)
-                    request_dict = dict(job["request"])
-                    request_dict.pop("game", None)
-                    job["request"] = request_dict
-                    job["game_shm"] = descriptor
-            jobs.append(job)
-        for record in batch:
-            record.timeline.cut("shm", segments=len(segments))
-        payload: Dict[str, Any] = {
-            "jobs": jobs,
-            "batch_id": batch_id,
-            "parent_pid": os.getpid(),
-        }
-        if self.fault_plan is not None:
-            payload["fault_plan"] = self.fault_plan.to_dict()
+        requests = [self._effective_request(record) for record in batch]
+        remaining = [record.deadline_remaining() for record in batch]
+        timeout = None if None in remaining else max(remaining)
         try:
-            response = await self._run_worker(execute_job_batch_payload, payload)
+            results = await asyncio.wait_for(
+                self._solve(requests, batch_id, [record.timeline for record in batch]),
+                timeout,
+            )
+        except asyncio.TimeoutError:
+            for record in batch:
+                if not record.done:
+                    self._finish(
+                        record, JobStatus.EXPIRED, error="deadline expired while running"
+                    )
+            return
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - transport-level failure
@@ -814,25 +741,15 @@ class SolveScheduler:
             if fault_class != PERMANENT:
                 self._breakers.on_failure(batch[0].request.policy)
             for record in batch:
-                if record.done:
-                    continue
-                if self._apply_failure_policy(
+                if not record.done and not self._apply_failure_policy(
                     record, fault_class, error,
                     stage="batch transport", batch_id=batch_id, count_breaker=False,
                 ):
-                    continue
-                self._count("failed")
-                self._finish(record, JobStatus.FAILED, error=error)
+                    self._finish(record, JobStatus.FAILED, error=error)
             return
-        finally:
-            if segments:
-                from repro.service.shm import release_segments
-
-                release_segments(segments)
-        self._merge_worker_telemetry(response)
         cache_entries: List[tuple] = []
-        settled: List[tuple] = []
-        for record, result in zip(batch, response["jobs"]):
+        settled: List[JobRecord] = []
+        for record, request, result in zip(batch, requests, results):
             if record.done:
                 continue
             # Splice the worker's materialise/kernel/settle spans under
@@ -841,68 +758,177 @@ class SolveScheduler:
             record.timeline.cut("run", batch_id=batch_id, worker_span=result.get("span_id"))
             remaining = record.deadline_remaining()
             if remaining is not None and remaining <= 0:
-                self._count("expired")
-                self._finish(
-                    record, JobStatus.EXPIRED, error="deadline expired while running"
-                )
+                self._finish(record, JobStatus.EXPIRED, error="deadline expired while running")
                 continue
-            if not result["ok"]:
-                fault_class = result.get("fault_class") or classify_failure(
-                    RuntimeError(result["error"])
-                )
-                if self._apply_failure_policy(
-                    record, fault_class, result["error"],
-                    stage="batch member", batch_id=batch_id,
+            error = None if result["ok"] else result["error"]
+            if error is None:
+                try:
+                    outcome = _checked_outcome(result["result"], request)
+                except Exception as exc:  # noqa: BLE001 - job isolation boundary
+                    error = f"{type(exc).__name__}: {exc}"
+            if error is not None:
+                fault_class = result.get("fault_class") or classify_failure(RuntimeError(error))
+                if not self._apply_failure_policy(
+                    record, fault_class, error, stage="batch member", batch_id=batch_id
                 ):
-                    continue
-                self._count("failed")
-                self._log_job_failure(
-                    record, result["error"], stage="batch member", batch_id=batch_id
-                )
-                self._finish(record, JobStatus.FAILED, error=result["error"])
-                continue
-            request = record.request
-            try:
-                # Workers ship finished outcome dicts (C-Nash jobs are
-                # settled worker-side, where the game is materialised).
-                outcome = SolveOutcome.from_dict(result["result"])
-                if outcome.fingerprint != request.fingerprint():
-                    # Integrity gate: a worker result must answer the
-                    # request it was asked — a mismatch means the payload
-                    # was corrupted in flight (an infrastructure fault).
-                    raise RuntimeError(
-                        "corrupt result payload: worker outcome fingerprint "
-                        f"{outcome.fingerprint[:12]}... does not match the request"
+                    self._log_job_failure(
+                        record, error, stage="batch member", batch_id=batch_id
                     )
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                if self._handle_execution_failure(
-                    record, exc, stage="batch settle", batch_id=batch_id
-                ):
-                    continue
-                self._count("failed")
-                self._log_job_failure(
-                    record, exc, stage="batch settle", batch_id=batch_id
-                )
-                self._finish(record, JobStatus.FAILED, error=f"{type(exc).__name__}: {exc}")
+                    self._finish(record, JobStatus.FAILED, error=error)
                 continue
+            # The worker's dict is exactly outcome.to_dict(); cache it
+            # rather than re-serialising, unless the outcome is relabelled.
+            wire = result["result"]
+            if request is not record.request:
+                # An escalated attempt answers the request the client
+                # asked; ``backend`` keeps naming the solver that did.
+                outcome.fingerprint = record.request.fingerprint()
+                outcome.policy = record.request.policy
+                wire = outcome.to_dict()
             if self._maybe_escalate_solver_miss(record, outcome):
                 continue
-            self._breakers.on_success(request.policy)
-            if result["kind"] == "cnash_outcome":
-                self._count("shards_executed")
+            self._breakers.on_success(record.request.policy)
             record.outcome = outcome
-            if request.cacheable:
-                # The worker's dict is exactly outcome.to_dict(); reuse
-                # it rather than re-serialising.
-                cache_entries.append((self._cache_key(request), result["result"]))
+            if record.request.cacheable:
+                cache_entries.append((self._cache_key(record.request), wire))
             settled.append(record)
-        # One cache hop for the whole batch, and — like the solo path —
-        # written before any member's completion event fires.
+        # One cache hop for the whole batch, written before any member's
+        # completion event fires.
         await self._cache_put_many(cache_entries)
         for record in settled:
-            self._count("completed")
             self._finish(record, JobStatus.DONE)
 
+    async def _solve(
+        self,
+        requests: List[SolveRequest],
+        batch_id: str,
+        timelines: Sequence[Timeline] = (),
+    ) -> List[Dict[str, Any]]:
+        """The worker calls of one batch: one result entry per request.
+
+        Entries take the worker's form (see
+        :func:`~repro.service.batching.execute_job_batch_payload`):
+        ``{"ok": True, "result": <outcome dict>}`` or
+        ``{"ok": False, "error": str}``.  Single-shard and generic jobs
+        are one ``execute_job_batch_payload`` call.  A lone built-in
+        C-Nash job of more than ``shard_size`` runs fans out one call
+        per shard, and a lone chain portfolio solves its members in
+        order.
+        """
+        if len(requests) == 1 and requests[0].policy in ("cnash", "portfolio"):
+            request = requests[0]
+            order = portfolio_order() if request.policy == "portfolio" else None
+            if order is not None:
+                return [await self._run_portfolio(request, order, batch_id)]
+            builtin = request.policy == "cnash" and cnash_is_builtin()
+            if builtin and request.num_runs > self.shard_size:
+                return [await self._run_shards(request)]
+            if not builtin and self.executor_kind == "process":
+                # A replaced built-in runs through the registry, which a
+                # worker process may resolve to the built-in instead.
+                raise RuntimeError(_PROCESS_REFUSALS[request.policy])
+        return await self._run_job_batch(requests, batch_id, timelines)
+
+    async def _run_job_batch(
+        self,
+        requests: List[SolveRequest],
+        batch_id: str,
+        timelines: Sequence[Timeline],
+    ) -> List[Dict[str, Any]]:
+        """Single-shard and generic jobs in one ``execute_job_batch_payload`` call.
+
+        On the process executor a dense game of at least
+        ``SHM_MIN_CELLS`` cells travels through shared memory (see
+        :mod:`repro.service.shm`); the segments are released when the
+        call returns or fails.
+        """
+        builtin_cnash = cnash_is_builtin()
+        share_dense = self.executor_kind == "process"
+        if share_dense:
+            from repro.service.shm import SHM_MIN_CELLS, share_game, shm_available
+
+            share_dense = shm_available()
+        jobs: List[Dict[str, Any]] = []
+        segments: List[Any] = []
+        for request in requests:
+            if request.policy == "cnash" and builtin_cnash:
+                # One shard, seeded as shard 0 of the standard plan.
+                job = {"kind": "cnash_shard", **shard_payloads(request, self.shard_size)[0]}
+            else:
+                job = {"kind": "generic", "request": request.to_dict()}
+            if (
+                share_dense
+                and isinstance(request.game, BimatrixGame)
+                and request.game.payoff_row.size >= SHM_MIN_CELLS
+            ):
+                try:
+                    descriptor, segment = share_game(request.game)
+                except OSError:
+                    pass  # fall back to the in-payload dense matrices
+                else:
+                    segments.append(segment)
+                    self._count("shm_games_shared")
+                    job["request"].pop("game", None)
+                    job["game_shm"] = descriptor
+            jobs.append(job)
+        for timeline in timelines:
+            timeline.cut("shm", segments=len(segments))
+        try:
+            response = await self._run_worker(
+                execute_job_batch_payload, {"jobs": jobs, "batch_id": batch_id}
+            )
+        finally:
+            if segments:
+                from repro.service.shm import release_segments
+
+                release_segments(segments)
+        self._count("shards_executed", len(jobs))
+        return response["jobs"]
+
+    async def _run_shards(self, request: SolveRequest) -> Dict[str, Any]:
+        """A multi-shard C-Nash job: one call per shard, merged in shard order.
+
+        The shards run concurrently across the pool, so their worker
+        traces overlap; none is spliced into the job's timeline.
+        """
+        payloads = shard_payloads(request, self.shard_size)
+        shards = await asyncio.gather(
+            *(self._run_worker(solve_shard_payload, payload) for payload in payloads)
+        )
+        self._count("shards_executed", len(payloads))
+        merged = SolverBatchResult.merge([SolverBatchResult.from_dict(shard) for shard in shards])
+        outcome = outcome_from_batch(request, merged, backend="cnash", shards=len(payloads))
+        return {"ok": True, "result": outcome.to_dict()}
+
+    async def _run_portfolio(
+        self, request: SolveRequest, order: Sequence[str], batch_id: str
+    ) -> Dict[str, Any]:
+        """A chain portfolio: its members in order, first verified answer kept.
+
+        Same selection semantics as the registered
+        :class:`~repro.backends.PortfolioBackend` (shared via
+        :func:`~repro.service.portfolio.adopt_portfolio_attempt`), but
+        each member is solved like a lone job, so the C-Nash fallback is
+        *sharded* across the worker pool instead of running its whole
+        batch inside one worker.  The member order is data on the
+        registered portfolio backend: re-registering it with a different
+        order re-routes this path too, with no scheduler change.
+        """
+        start = time.perf_counter()
+        for member in order:
+            attempt_request = member_request(request, member)
+            (entry,) = await self._solve([attempt_request], batch_id)
+            if not entry["ok"]:
+                return entry
+            attempt = _checked_outcome(entry["result"], attempt_request)
+            if adopt_portfolio_attempt(request, attempt):
+                break
+        attempt.wall_clock_seconds = time.perf_counter() - start
+        return {"ok": True, "result": attempt.to_dict()}
+
+    # ------------------------------------------------------------------
+    # Result cache
+    # ------------------------------------------------------------------
     async def _cache_put_many(self, entries: List[tuple]) -> None:
         """Batched cache store; disk-tier writes run off the loop in one hop."""
         if not entries:
@@ -919,13 +945,6 @@ class SolveScheduler:
         if self.cache.directory is None:
             return self.cache.get(key)
         return await asyncio.get_running_loop().run_in_executor(None, self.cache.get, key)
-
-    async def _cache_put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Cache store; disk-tier JSON serialisation/writes run off the loop."""
-        if self.cache.directory is None:
-            self.cache.put(key, payload)
-            return
-        await asyncio.get_running_loop().run_in_executor(None, self.cache.put, key, payload)
 
     def _cache_key(self, request: SolveRequest) -> str:
         """Cache key for a request under *this* scheduler's shard plan.
@@ -961,95 +980,18 @@ class SolveScheduler:
             suffix += f":retry={retry_token}"
         return hashlib.sha256(f"{fingerprint}{suffix}".encode("ascii")).hexdigest()
 
-    async def _execute(self, request: SolveRequest) -> SolveOutcome:
-        """Run one request on the worker pool (sharded for C-Nash batches).
-
-        When a deadline cancels this coroutine mid-``gather``, the
-        cancellation propagates through the ``run_in_executor`` futures
-        into the underlying pool futures, so shards that have not
-        started yet are dropped rather than executed; only shards
-        already running on a worker complete (and are discarded).
-        """
-        if request.policy == "cnash" and not cnash_is_builtin():
-            # A substituted "cnash" backend must actually be the one that
-            # answers; run it through the generic registry path below
-            # (shared-registry executors only — same rule as portfolio).
-            if self.executor_kind == "process":
-                raise RuntimeError(
-                    "a replaced 'cnash' backend cannot be served by the process "
-                    "executor: worker processes may resolve the name to the "
-                    "built-in solver instead; use executor='thread' or 'inline'"
-                )
-        elif request.policy == "cnash":
-            payloads = shard_payloads(request, self.shard_size)
-            self._stamp_payloads(payloads)
-            shard_dicts = await asyncio.gather(
-                *(
-                    self._run_worker(solve_shard_payload, payload)
-                    for payload in payloads
-                )
-            )
-            self._count("shards_executed", len(payloads))
-            merged = SolverBatchResult.merge([
-                SolverBatchResult.from_dict(self._merge_worker_telemetry(shard))
-                for shard in shard_dicts
-            ])
-            return outcome_from_batch(request, merged, backend="cnash", shards=len(payloads))
-        if request.policy == "portfolio":
-            order = portfolio_order()
-            if order is not None:
-                return await self._execute_portfolio(request, order)
-            # Custom (non-chain) portfolio replacement: its own solve()
-            # runs on a worker through the generic path below.  That is
-            # only sound when the worker shares this process's registry
-            # — a worker *process* may re-import the built-in portfolio
-            # under the same name and silently answer with the wrong
-            # semantics, so refuse rather than guess.
-            if self.executor_kind == "process":
-                raise RuntimeError(
-                    "a custom (non-chain) 'portfolio' backend cannot be served "
-                    "by the process executor: worker processes may resolve the "
-                    "name to the built-in portfolio chain instead; use "
-                    "executor='thread' or 'inline'"
-                )
-        payload = request.to_dict()
-        self._stamp_payloads([payload])
-        outcome_dict = await self._run_worker(execute_request_payload, payload)
-        self._count("shards_executed")
-        return SolveOutcome.from_dict(self._merge_worker_telemetry(outcome_dict))
-
-    async def _execute_portfolio(
-        self, request: SolveRequest, order: "tuple[str, ...]"
-    ) -> SolveOutcome:
-        """Portfolio policy with scheduler-level member routing.
-
-        Same selection semantics as the registered
-        :class:`~repro.backends.PortfolioBackend` (shared via
-        :func:`~repro.service.portfolio.adopt_portfolio_attempt`) — try
-        the members in :func:`~repro.service.portfolio.portfolio_order`,
-        keep the first verified answer — but each member goes through
-        :meth:`_execute`, so the C-Nash fallback is *sharded* across the
-        worker pool instead of running its whole batch inside one
-        worker.  The member order is data on the registered portfolio
-        backend: re-registering it with a different order re-routes this
-        path too, with no scheduler change.
-        """
-        start = time.perf_counter()
-        last: Optional[SolveOutcome] = None
-        for member in order:
-            attempt = await self._execute(member_request(request, member))
-            last = attempt
-            if adopt_portfolio_attempt(request, attempt):
-                break
-        assert last is not None  # order is non-empty
-        last.wall_clock_seconds = time.perf_counter() - start
-        return last
-
     # ------------------------------------------------------------------
     # Resilience: supervised execution, retry, escalation, quarantine
     # ------------------------------------------------------------------
-    async def _run_worker(self, fn: Callable, payload: Dict[str, Any]) -> Any:
-        """One worker-pool call under supervision.
+    async def _run_worker(self, fn: Callable, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """One worker-pool call under supervision; returns the worker's result.
+
+        The payload is stamped with this pid, which tells a worker
+        whether it runs in a separate process (that decides how injected
+        crashes behave and whether it ships its metrics delta home), and
+        with the chaos plan, if any.  A worker process's metrics delta
+        is folded into the registry and stripped from the result (see
+        :func:`~repro.service.portfolio.ship_worker_telemetry`).
 
         The supervisor converts a broken pool into
         :class:`~repro.service.resilience.WorkerDeath` and a missed
@@ -1058,21 +1000,14 @@ class SolveScheduler:
         pool in both cases so the retry lands on healthy workers.
         """
         assert self._supervisor is not None
-        return await self._supervisor.run(fn, payload, timeout_s=self.worker_timeout_s)
-
-    def _stamp_payloads(self, payloads: List[Dict[str, Any]]) -> None:
-        """Stamp solo worker payloads with this pid and the chaos plan (if any).
-
-        The pid tells a worker whether it runs in a separate process,
-        which decides how injected crashes behave and whether it ships
-        its metrics delta home.
-        """
-        pid = os.getpid()
-        plan = None if self.fault_plan is None else self.fault_plan.to_dict()
-        for payload in payloads:
-            payload["parent_pid"] = pid
-            if plan is not None:
-                payload["fault_plan"] = plan
+        payload["parent_pid"] = os.getpid()
+        if self.fault_plan is not None:
+            payload["fault_plan"] = self.fault_plan.to_dict()
+        result = await self._supervisor.run(fn, payload, timeout_s=self.worker_timeout_s)
+        delta = result.pop("telemetry", None)
+        if delta:
+            self._registry.merge(delta)
+        return result
 
     def _effective_request(self, record: JobRecord) -> SolveRequest:
         """The request to actually execute for the record's current attempt.
@@ -1098,35 +1033,6 @@ class SolveScheduler:
                 policy = ladder[min(stage - 2, len(ladder) - 1)]
         return dataclasses.replace(request, seed=seed, policy=policy)
 
-    def _relabel_outcome(self, record: JobRecord, outcome: SolveOutcome) -> None:
-        """Re-label an escalated attempt as the original request's outcome.
-
-        Mirrors :func:`~repro.service.portfolio.adopt_portfolio_attempt`:
-        the client asked for ``record.request`` — the outcome carries
-        that identity, while ``outcome.backend`` keeps naming the solver
-        that actually answered.
-        """
-        request = record.request
-        if outcome.fingerprint != request.fingerprint():
-            outcome.fingerprint = request.fingerprint()
-            outcome.policy = request.policy
-
-    def _handle_execution_failure(
-        self,
-        record: JobRecord,
-        exc: BaseException,
-        stage: str,
-        batch_id: Optional[str] = None,
-    ) -> bool:
-        """Classify a live execution exception and apply the retry policy."""
-        return self._apply_failure_policy(
-            record,
-            classify_failure(exc),
-            f"{type(exc).__name__}: {exc}",
-            stage,
-            batch_id=batch_id,
-        )
-
     def _apply_failure_policy(
         self,
         record: JobRecord,
@@ -1150,7 +1056,6 @@ class SolveScheduler:
         if fault_class == WORKER_DEATH:
             record.worker_deaths += 1
             if record.worker_deaths >= self.retry_policy.quarantine_after:
-                self._count("quarantined")
                 self._log_job_failure(
                     record, error_text, stage=f"{stage} (quarantined)", batch_id=batch_id
                 )
@@ -1165,18 +1070,7 @@ class SolveScheduler:
                 return True
         if not self.retry_policy.should_retry(fault_class, record.attempts):
             return False
-        self._schedule_retry(record, fault_class, error_text, stage, batch_id=batch_id)
-        return True
-
-    def _schedule_retry(
-        self,
-        record: JobRecord,
-        fault_class: str,
-        error_text: str,
-        stage: str,
-        batch_id: Optional[str] = None,
-    ) -> None:
-        """Re-enqueue a failed job after its deterministic backoff."""
+        # Re-enqueue the job after its deterministic backoff.
         attempt = record.attempts
         delay = self.retry_policy.backoff_s(fault_class, attempt, record.request.fingerprint())
         record.attempts = attempt + 1
@@ -1186,9 +1080,9 @@ class SolveScheduler:
         record.started_at = None
         record.error = None
         if fault_class == WORKER_DEATH:
-            # Crash retries dispatch solo: if the job kills its worker
-            # again, it is uniquely identified as the poison pill instead
-            # of dragging innocent batch companions toward quarantine.
+            # Crash retries dispatch as batches of one: if the job kills
+            # its worker again, it is uniquely identified as the poison
+            # pill instead of dragging batch companions toward quarantine.
             record.no_batch = True
         elif fault_class == SOLVER_MISS:
             record.escalation_stage += 1
@@ -1216,6 +1110,7 @@ class SolveScheduler:
         task = asyncio.get_running_loop().create_task(self._requeue_after(record, delay))
         self._retry_tasks.add(task)
         task.add_done_callback(self._retry_tasks.discard)
+        return True
 
     async def _requeue_after(self, record: JobRecord, delay: float) -> None:
         """Sleep out the backoff, then put the job back on the queue."""
@@ -1271,6 +1166,7 @@ class SolveScheduler:
         )
 
     def _finish(self, record: JobRecord, status: str, error: Optional[str] = None) -> None:
+        """Mark a job terminal, count it, and wake its waiters."""
         if record.status == JobStatus.RUNNING:
             self._running_jobs -= 1
         record.status = status
@@ -1283,11 +1179,12 @@ class SolveScheduler:
                 "latency"
             ].labels(policy=record.request.policy, status=status)
         latency.observe(record.elapsed())
-        if (
-            status == JobStatus.DONE
-            and record.outcome is not None
-            and not record.cache_hit
-        ):
+        if status != JobStatus.DONE:
+            # The failed/cancelled/expired/quarantined counters are keyed
+            # by the status they count.
+            self._count(status)
+        elif not record.cache_hit:
+            self._count("completed")
             # Attempt count is execution metadata (like the trace): it is
             # stamped after cache writes, so cached bytes stay identical
             # whether or not the computing run needed retries.

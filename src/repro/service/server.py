@@ -260,8 +260,9 @@ async def _smoke(chaos: bool = False) -> int:
     With ``chaos=True`` the scheduler runs under the stock chaos fault
     plan (:func:`~repro.service.resilience.chaos_plan`: one worker
     crash, one injected kernel error, one corrupted settle payload, one
-    materialisation delay) — the run must still produce every result,
-    with the retries visible in ``repro_resilience_retries_total``.
+    materialisation delay) — every rule must fire, and the run must
+    still produce every result, with the retries visible in
+    ``repro_resilience_retries_total``.
 
     Every count the smoke asserts on is read from the ``telemetry`` op.
     """
@@ -272,7 +273,7 @@ async def _smoke(chaos: bool = False) -> int:
 
     # Under chaos, one job can absorb several injections back to back
     # (a worker crash fails its whole batch, then the kernel error can
-    # land on the same job's solo retry) — give the transient budget
+    # land on the same job's lone retry) — give the transient budget
     # headroom beyond the two-attempt default so the plan is always
     # recoverable.
     from repro.service.resilience import RetryPolicy, RetryRule
@@ -282,9 +283,10 @@ async def _smoke(chaos: bool = False) -> int:
         worker_death=RetryRule(max_attempts=4, base_backoff_s=0.01, max_backoff_s=0.05),
         quarantine_after=4,
     )
+    plan = chaos_plan() if chaos else None
     async with SolveScheduler(
         max_workers=2, shard_size=8, executor="thread", max_batch_linger_ms=50.0,
-        fault_plan=chaos_plan() if chaos else None,
+        fault_plan=plan,
         retry_policy=chaos_policy if chaos else RetryPolicy(),
     ) as scheduler:
         server = NashServer(scheduler, port=0)
@@ -387,6 +389,12 @@ async def _smoke(chaos: bool = False) -> int:
             retries = family_total(telemetry, "repro_resilience_retries_total")
             quarantined = family_total(telemetry, "repro_resilience_quarantined_total")
             injected = family_total(telemetry, "repro_resilience_faults_injected_total")
+            # A fault point that no dispatch reaches fails the smoke.
+            silent = [
+                f"{rule.point}/{rule.action}" for rule in plan.rules
+                if family_total(telemetry, "repro_resilience_faults_injected_total",
+                                point=rule.point, action=rule.action) < 1
+            ]
             retried_attempts = [
                 o.attempts for o in [outcome] + sweep_outcomes if o.attempts > 1
             ]
@@ -394,12 +402,13 @@ async def _smoke(chaos: bool = False) -> int:
                 retries >= 1
                 and quarantined == 0
                 and bool(retried_attempts)
-                and injected >= 1
+                and not silent
             )
             print(
                 f"smoke chaos: retries={int(retries)} quarantined={int(quarantined)} "
                 f"jobs_with_retries={len(retried_attempts)} "
                 f"faults_injected={int(injected)} "
+                f"rules_not_fired={silent or 'none'} "
                 f"-> {'OK' if chaos_ok else 'FAILED'}"
             )
             ok = ok and chaos_ok

@@ -175,6 +175,28 @@ class TestBatchedDispatch:
         assert outcome.batch["runs"]
         assert counts("repro_scheduler_batches_dispatched_total") == 0
 
+    def test_worker_executions_count_alike_coalesced_and_alone(self, counts):
+        # Every job or shard a worker ran counts once, however it was
+        # dispatched: four exact jobs count 4 coalesced and 4 one by one.
+        requests = [spec_request(seed, size=3, policy="exact") for seed in range(4)]
+
+        async def solve_with(max_batch_jobs):
+            async with SolveScheduler(
+                max_workers=2,
+                shard_size=8,
+                executor="thread",
+                max_batch_jobs=max_batch_jobs,
+                max_batch_linger_ms=100.0,
+            ) as sched:
+                return await solve_all(sched, requests)
+
+        run(solve_with(16))
+        coalesced = counts("repro_scheduler_shards_executed_total")
+        assert counts("repro_scheduler_batches_dispatched_total") >= 1
+        run(solve_with(1))
+        alone = counts("repro_scheduler_shards_executed_total") - coalesced
+        assert coalesced == alone == len(requests)
+
     def test_batching_disabled_by_knob(self):
         with pytest.raises(ValueError, match="max_batch_jobs"):
             SolveScheduler(executor="thread", max_batch_jobs=0)
@@ -289,3 +311,38 @@ class TestBatchFailureIsolation:
         assert [job.status for job in jobs[:-1]] == [JobStatus.DONE] * 3
         assert jobs[-1].status == JobStatus.EXPIRED
         assert counts("repro_scheduler_jobs_expired_total") == 1
+
+    def test_batch_of_expired_members_is_released_at_the_last_deadline(self, counts):
+        # Every member has a deadline, so the batch is awaited only until
+        # the latest one: both members expire while the worker still
+        # runs their fused launch.
+        slow = CNashConfig(num_intervals=6, num_iterations=6000)
+        doomed = [
+            SolveRequest.from_dict(
+                {**spec_request(seed, size=16, config=slow).to_dict(),
+                 "deadline_s": deadline}
+            )
+            for seed, deadline in ((60, 0.05), (61, 0.1))
+        ]
+
+        async def body():
+            async with SolveScheduler(
+                max_workers=1,
+                shard_size=8,
+                executor="thread",
+                max_batch_jobs=16,
+            ) as sched:
+                records = [await sched.submit(request) for request in doomed]
+                for record in records:
+                    with pytest.raises(RuntimeError, match="expired while running"):
+                        await sched.wait(record.job_id)
+                launches_at_release = counts("repro_kernel_launches_total")
+                # The one worker finishes the abandoned launch before this
+                # job, so nothing outlives the test.
+                await sched.solve(spec_request(62, policy="exact", size=3))
+                return launches_at_release
+
+        assert run(body()) == 0  # released while the fused launch still ran
+        assert counts("repro_kernel_launches_total") == 1
+        assert counts("repro_scheduler_batches_dispatched_total") == 1
+        assert counts("repro_scheduler_jobs_expired_total") == 2

@@ -16,6 +16,8 @@ import asyncio
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CNashConfig
 from repro.games.spec import GameSpec
@@ -481,6 +483,100 @@ class TestSchedulerChaos:
                     await scheduler.submit(spec_request(6))
 
         run(body())
+
+    def test_lone_job_settle_fault_is_rejected_and_retried(self):
+        # A job dispatched alone settles in the worker like a coalesced
+        # one, so a corrupted settle payload fails the fingerprint gate
+        # and is retried once; the outcome and its cached repeat both
+        # equal the fault-free run.
+        request = spec_request(7, size=3, policy="exact")
+        alone = dict(max_workers=1, executor="thread", max_batch_jobs=1)
+        (baseline,), _ = sweep(alone, [request])
+        plan = FaultPlan(rules=(FaultRule(point="settle", action="corrupt", times=1),))
+        with temporary_registry() as registry:
+            async def body():
+                async with SolveScheduler(**alone, fault_plan=plan) as scheduler:
+                    first = await scheduler.solve(request)
+                    repeat = await scheduler.submit(request)
+                    return first, repeat.cache_hit, await scheduler.wait(repeat.job_id)
+
+            outcome, cache_hit, repeat = run(body())
+            retries = family_total(
+                registry.snapshot(), "repro_resilience_retries_total", fault_class=TRANSIENT
+            )
+        fired = plan.fired(0)
+        plan.reset()
+        assert fired == 1
+        assert retries == 1
+        assert outcome.attempts == 2
+        assert cache_hit
+        assert canon(outcome) == canon(baseline)
+        assert canon(repeat) == canon(baseline)
+
+
+# ----------------------------------------------------------------------
+# Retried vs fault-free, as a property over dispatch shapes
+# ----------------------------------------------------------------------
+#: One fault of each kind the serving path absorbs, keyed by its point.
+ONE_FAULT = {
+    "worker_entry": FaultRule(point="worker_entry", action="crash", times=1),
+    "kernel": FaultRule(point="kernel", action="error", times=1),
+    "materialize": FaultRule(point="materialize", action="delay", times=1, delay_s=0.01),
+    "settle": FaultRule(point="settle", action="corrupt", times=1),
+}
+#: Budgets that absorb one fault per job, with short backoffs.
+QUICK_RETRIES = RetryPolicy(
+    worker_death=RetryRule(max_attempts=2, base_backoff_s=0.01, max_backoff_s=0.05),
+    transient=RetryRule(max_attempts=2, base_backoff_s=0.01, max_backoff_s=0.05),
+)
+#: At shard size 4: single-shard C-Nash jobs coalesce, the 8-run job
+#: fans out two shards, and the exact and portfolio jobs use 3x3 games.
+SHAPE_KWARGS = dict(
+    max_workers=2, executor="thread", shard_size=4, max_batch_linger_ms=10.0,
+    retry_policy=QUICK_RETRIES,
+)
+SINGLE_SHARD = [spec_request(seed) for seed in range(3)]
+TWO_SHARD = spec_request(10, num_runs=8)
+EXACT = [spec_request(20 + seed, size=3, policy="exact") for seed in range(2)]
+PORTFOLIO = spec_request(30, size=3, policy="portfolio")
+SHAPE_POOL = SINGLE_SHARD + [TWO_SHARD] + EXACT + [PORTFOLIO]
+
+
+@pytest.fixture(scope="module")
+def fault_free():
+    """Each pool request's fault-free outcome, by fingerprint."""
+    outcomes, _ = sweep(SHAPE_KWARGS, SHAPE_POOL)
+    return {r.fingerprint(): canon(o) for r, o in zip(SHAPE_POOL, outcomes)}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    single=st.integers(1, len(SINGLE_SHARD)),
+    exact=st.integers(0, len(EXACT)),
+    two_shard=st.booleans(),
+    portfolio=st.booleans(),
+    point=st.sampled_from(sorted(ONE_FAULT)),
+)
+def test_retried_dispatch_equals_fault_free(
+    fault_free, single, exact, two_shard, portfolio, point
+):
+    # Every shape holds a coalescible single-shard job, which reaches
+    # all four points, so the drawn fault always fires somewhere.
+    requests = (
+        SINGLE_SHARD[:single] + EXACT[:exact]
+        + [TWO_SHARD] * two_shard + [PORTFOLIO] * portfolio
+    )
+    plan = FaultPlan(rules=(ONE_FAULT[point],))
+    try:
+        outcomes, counts = sweep({**SHAPE_KWARGS, "fault_plan": plan}, requests)
+        fired = plan.fired(0)
+    finally:
+        plan.reset()
+    assert fired == 1
+    assert [canon(o) for o in outcomes] == [fault_free[r.fingerprint()] for r in requests]
+    retried = counts("repro_resilience_retries_total") >= 1
+    assert retried == (point != "materialize")  # a delay is no failure
+    assert counts("repro_scheduler_jobs_completed_total") == len(requests)
 
 
 # ----------------------------------------------------------------------
